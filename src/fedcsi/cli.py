@@ -46,10 +46,20 @@ def _check_keys(data: dict, allowed: set, section: str) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r} in {section} config")
 
 
+def _typed(value, kind: type, name: str):
+    """`value` as `kind` without lossy casts: a bool is not a number, an
+    int field takes no fraction, and a bool field takes only true/false."""
+    if (kind is bool) != isinstance(value, bool):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return kind(value)
+
+
 def _network_from_dict(data: dict) -> nn.NetworkSpec:
     _check_keys(data, {"input_height", "input_width", "layers"}, "network")
-    height = int(data.get("input_height", 72))
-    width = int(data.get("input_width", 14))
+    height = _typed(data.get("input_height", 72), int, "input_height")
+    width = _typed(data.get("input_width", 14), int, "input_width")
     layers = data.get("layers")
     if layers is None:
         return nn.default_network_spec(height, width)
@@ -57,14 +67,16 @@ def _network_from_dict(data: dict) -> nn.NetworkSpec:
     for entry in layers:
         if len(entry) != 4:
             raise ConfigError(f"network layer {entry!r} must be [kh, kw, filters, activation]")
-        parsed.append(nn.LayerSpec(int(entry[0]), int(entry[1]), int(entry[2]), str(entry[3])))
+        kh, kw, filters = (_typed(v, int, "network layer size") for v in entry[:3])
+        parsed.append(nn.LayerSpec(kh, kw, filters, str(entry[3])))
     return nn.NetworkSpec(layers=tuple(parsed), input_shape=(height, width, 2))
 
 
 def _channel_from_dict(data: dict) -> ChannelConfig:
     fields = {f.name for f in dataclasses.fields(ChannelConfig)}
     _check_keys(data, fields, "channel")
-    return ChannelConfig(**{k: type(getattr(ChannelConfig(), k))(v) for k, v in data.items()})
+    defaults = ChannelConfig()
+    return ChannelConfig(**{k: _typed(v, type(getattr(defaults, k)), k) for k, v in data.items()})
 
 
 def _attack_from_dict(data: Optional[dict]) -> Optional[AttackPlan]:
@@ -107,11 +119,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                                      "attack", "aggregator", "llpf"}
     _check_keys(data, allowed, "experiment")
     kwargs = {}
-    for key, caster in _SCALAR_FIELDS.items():
+    for key, kind in _SCALAR_FIELDS.items():
         if key in data:
-            kwargs[key] = caster(data[key])
+            kwargs[key] = _typed(data[key], kind, key)
     if "pretrain_epochs" in data and data["pretrain_epochs"] is not None:
-        kwargs["pretrain_epochs"] = int(data["pretrain_epochs"])
+        kwargs["pretrain_epochs"] = _typed(data["pretrain_epochs"], int, "pretrain_epochs")
     if "network" in data:
         kwargs["network"] = _network_from_dict(data["network"])
     if "channel" in data:

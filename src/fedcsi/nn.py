@@ -11,10 +11,12 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 SOFTPLUS_CUTOFF = 30.0  # softplus(x) ~ x above this; avoids exp overflow
+_BLOCK_MACS = 1 << 19  # multiply-adds per matrix product in the conv plumbing
 ACTIVATIONS = ("selu", "softplus")
 
 
@@ -138,74 +140,201 @@ def unflatten_params(flat: np.ndarray, spec: NetworkSpec) -> ParamVector:
 
 
 # --------------------------- activations ---------------------------------
+# Branch-free, and in place on their own temporaries: np.where over a
+# random-sign mask is several times slower than the extra arithmetic, and
+# each extra temporary is one more pass over memory.  The values are the
+# same bit for bit as the textbook two-branch forms.
 
 def selu(x: np.ndarray) -> np.ndarray:
-    neg = SELU_ALPHA * np.expm1(np.minimum(x, 0.0))
-    return SELU_LAMBDA * np.where(x > 0.0, x, neg)
+    neg = np.minimum(x, 0.0)
+    np.expm1(neg, out=neg)
+    neg *= SELU_ALPHA
+    out = np.maximum(x, 0.0)
+    out += neg
+    out *= SELU_LAMBDA
+    return out
 
 
 def selu_grad(x: np.ndarray) -> np.ndarray:
-    neg = SELU_ALPHA * np.exp(np.minimum(x, 0.0))
-    return SELU_LAMBDA * np.where(x > 0.0, 1.0, neg)
+    # exp(min(x, 0)) * (alpha + (1 - alpha) * [x > 0]); alpha + (1 - alpha)
+    # is exactly 1.0, so the positive branch is exact
+    scale = (x > 0.0) * (1.0 - SELU_ALPHA)
+    scale += SELU_ALPHA
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out *= scale
+    out *= SELU_LAMBDA
+    return out
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
-    return np.where(x > SOFTPLUS_CUTOFF, x, np.log1p(np.exp(np.minimum(x, SOFTPLUS_CUTOFF))))
+    out = np.minimum(x, SOFTPLUS_CUTOFF)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.copyto(out, x, where=x > SOFTPLUS_CUTOFF)
+    return out
 
 
 def softplus_grad(x: np.ndarray) -> np.ndarray:
-    # logistic sigmoid, stable on both tails
-    pos = 1.0 / (1.0 + np.exp(-np.maximum(x, 0.0)))
-    ex = np.exp(np.minimum(x, 0.0))
-    neg = ex / (1.0 + ex)
-    return np.where(x >= 0.0, pos, neg)
+    # logistic sigmoid, stable on both tails: exp(min(x, 0)) / (1 + exp(-|x|))
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out /= den
+    return out
 
 
 _ACT = {"selu": (selu, selu_grad), "softplus": (softplus, softplus_grad)}
 
 
 # --------------------------- conv plumbing -------------------------------
+#
+# A batch sits on its zero-padded grid (A, Hp, Wp, C), read as A*Hp*Wp rows
+# of C channels.  The input rows under kernel offset (di, dj) are then the
+# contiguous slice that starts at row di*Wp + dj, so an offset's operand is
+# a view, not a copy.  Outputs computed this way lie on the same padded
+# grid: the top-left (Hp - kh + 1) x (Wp - kw + 1) corner of each sample is
+# valid, the other cells hold junk from neighbouring rows and are cropped.
+# Padded rows separate the samples, so no valid cell reads another sample.
+#
+# The product shape follows the channel counts (`_plan`).  A correlation
+# that widens the channels unfolds its input: the whole kernel when
+# kw*C_in <= C_out, so the unfolded rows are at most kh output rows wide,
+# else one kernel row, whose copy serves all kh kernel rows as views
+# shifted by di*Wp.  That makes 1 or kh large products instead of kh*kw
+# accumulations into the wide output.  Other correlations take one product
+# per offset on the views.  The order of the products is fixed, so the
+# summation order never varies between calls.
+#
+# Backward, the input gradient is this same correlation: dz, padded for the
+# flipped kernel, with the flipped and transposed kernel.  The kernel
+# gradient unfolds the input where the forward does, and otherwise takes
+# one product per offset.  Layer 0 needs no input gradient.
 
-def _pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    ph0, ph1 = (kh - 1) // 2, kh // 2
-    pw0, pw1 = (kw - 1) // 2, kw // 2
-    return np.pad(x, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
+def _pad(x: np.ndarray, kh: int, kw: int, flipped: bool = False) -> np.ndarray:
+    """x zero-padded for a same correlation with a kh x kw kernel, or with
+    that kernel flipped.  An even kernel pads one more row below (column
+    right) than above (left); flipping it swaps the sides."""
+    a, h, w, c = x.shape
+    top, left = (kh // 2, kw // 2) if flipped else ((kh - 1) // 2, (kw - 1) // 2)
+    xp = np.zeros((a, h + kh - 1, w + kw - 1, c))
+    xp[:, top:top + h, left:left + w] = x
+    return xp
 
 
-def _conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    # shift-and-accumulate: one (A*H*W, C_in) x (C_in, C_out) product per
-    # kernel offset, in a fixed offset order so summation never varies
-    a, h, w, c_in = x.shape
+def _plan(kw: int, c_in: int, c_out: int) -> str:
+    """How a correlation forms its products: "whole" (unfold the kernel),
+    "rows" (unfold one kernel row) or "offsets" (one product per offset)."""
+    if kw * c_in <= c_out:
+        return "whole"
+    return "rows" if c_out > c_in else "offsets"
+
+
+def _unfold(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """im2col: one row of kh*kw*C values per valid output cell."""
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (A, H, W, C, kh, kw)
+    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        -1, kh * kw * xp.shape[3])
+
+
+def _unfold_rows(x: np.ndarray, kw: int) -> np.ndarray:
+    """Row r of the result is rows r .. r + kw - 1 of x (n, C), end to end."""
+    c = x.shape[1]
+    return np.ascontiguousarray(sliding_window_view(x.reshape(-1), kw * c)[::c])
+
+
+def _sum_of_products(products: list, out: np.ndarray) -> np.ndarray:
+    """out = sum of a @ b over the (a, b) pairs, which share one shape.
+
+    Row blocks of at most _BLOCK_MACS multiply-adds per product keep each
+    block's operands in cache across the products.  With OpenBLAS, products
+    of more than about 10^6 multiply-adds also ran at half the rate per
+    multiply-add on these narrow outputs.
+    """
+    k, n = products[0][1].shape
+    step = max(1, _BLOCK_MACS // (k * n))
+    term = np.empty((min(step, len(out)), n))
+    for start in range(0, len(out), step):
+        acc = out[start:start + step]
+        np.matmul(products[0][0][start:start + step], products[0][1], out=acc)
+        part = term[:len(acc)]
+        for a, b in products[1:]:
+            np.matmul(a[start:start + step], b, out=part)
+            acc += part
+    return out
+
+
+def _inner_products(operands: list, b: np.ndarray) -> np.ndarray:
+    """[a.T @ b for a in operands], each a as long as b, summed over row
+    blocks as in `_sum_of_products`."""
+    k, n = operands[0].shape[1], b.shape[1]
+    step = max(1, _BLOCK_MACS // (k * n))
+    out = np.zeros((len(operands), k, n))
+    part = np.empty((k, n))
+    for start in range(0, len(b), step):
+        block = b[start:start + step]
+        for a, acc in zip(operands, out):
+            np.matmul(a[start:start + step].T, block, out=part)
+            acc += part
+    return out
+
+
+def _correlate(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid correlation of the padded batch with `kernel` (kh, kw, C_in,
+    C_out): shape (A, Hp - kh + 1, Wp - kw + 1, C_out), possibly a view."""
+    a, hp, wp, c_in = xp.shape
     kh, kw, _, c_out = kernel.shape
-    xp = _pad_same(x, kh, kw)
-    out = np.zeros((a * h * w, c_out))
-    for di in range(kh):
-        for dj in range(kw):
-            src = xp[:, di:di + h, dj:dj + w, :].reshape(a * h * w, c_in)
-            out += src @ kernel[di, dj]
-    out += bias
-    return out.reshape(a, h, w, c_out)
+    h, w = hp - kh + 1, wp - kw + 1
+    plan = _plan(kw, c_in, c_out)
+    if plan == "whole":
+        out = np.empty((a * h * w, c_out))
+        return _sum_of_products([(_unfold(xp, kh, kw), kernel.reshape(-1, c_out))],
+                                out).reshape(a, h, w, c_out)
+    rows = a * hp * wp
+    m = rows - (kh - 1) * wp - (kw - 1)  # rows up to the last valid cell
+    x = xp.reshape(rows, c_in)
+    if plan == "rows":
+        unfolded, krows = _unfold_rows(x, kw), kernel.reshape(kh, kw * c_in, c_out)
+        products = [(unfolded[di * wp:di * wp + m], krows[di]) for di in range(kh)]
+    else:
+        products = [(x[di * wp + dj:di * wp + dj + m], kernel[di, dj])
+                    for di in range(kh) for dj in range(kw)]
+    out = np.empty((rows, c_out))
+    _sum_of_products(products, out[:m])
+    return out.reshape(a, hp, wp, c_out)[:, :h, :w]
 
 
-def _conv_backward(
-    x: np.ndarray, kernel: np.ndarray, dz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_kernel, d_bias, d_input) of z = conv(x) + b given dL/dz."""
-    a, h, w, c_in = x.shape
-    kh, kw, _, c_out = kernel.shape
-    xp = _pad_same(x, kh, kw)
-    dz_mat = dz.reshape(a * h * w, c_out)
-    d_kernel = np.empty_like(kernel)
-    dxp = np.zeros_like(xp)
-    for di in range(kh):
-        for dj in range(kw):
-            src = xp[:, di:di + h, dj:dj + w, :].reshape(a * h * w, c_in)
-            d_kernel[di, dj] = src.T @ dz_mat
-            dxp[:, di:di + h, dj:dj + w, :] += (dz_mat @ kernel[di, dj].T).reshape(a, h, w, c_in)
-    d_bias = dz.sum(axis=(0, 1, 2))
-    ph0, pw0 = (kh - 1) // 2, (kw - 1) // 2
-    dx = dxp[:, ph0:ph0 + h, pw0:pw0 + w, :]
-    return d_kernel, d_bias, dx
+def _conv_forward(
+    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padded conv of x plus bias; returns (z, padded x)."""
+    xp = _pad(x, *kernel.shape[:2])
+    return _correlate(xp, kernel) + bias, xp
+
+
+def _kernel_gradient(xp: np.ndarray, dz: np.ndarray, dzp: Optional[np.ndarray]) -> np.ndarray:
+    """dL/dkernel: the correlation of the padded input xp with dz.
+
+    Where the forward product unfolds the whole kernel, so does this one.
+    Otherwise it takes one product per offset, on views of xp and of dzp,
+    dz padded for the flipped kernel (unused in the first case): dzp's rows
+    from (kh // 2)*Wp + kw // 2 on hold dz at the top left of xp's grid.
+    """
+    a, hp, wp, c_in = xp.shape
+    _, h, w, c_out = dz.shape
+    kh, kw = hp - h + 1, wp - w + 1
+    if _plan(kw, c_in, c_out) == "whole":
+        return _inner_products([_unfold(xp, kh, kw)], dz.reshape(-1, c_out)).reshape(
+            kh, kw, c_in, c_out)
+    rows = a * hp * wp
+    m = rows - (kh - 1) * wp - (kw - 1)
+    shift = (kh // 2) * wp + kw // 2
+    x, d = xp.reshape(rows, c_in), dzp.reshape(rows, c_out)[shift:shift + m]
+    views = [x[di * wp + dj:di * wp + dj + m] for di in range(kh) for dj in range(kw)]
+    return _inner_products(views, d).reshape(kh, kw, c_in, c_out)
 
 
 # --------------------------- public ops ----------------------------------
@@ -219,7 +348,7 @@ def forward_batch(spec: NetworkSpec, params: ParamVector, xs: np.ndarray) -> np.
     _check_input(spec, xs)
     act = np.asarray(xs, dtype=np.float64)
     for i, layer in enumerate(spec.layers):
-        z = _conv_forward(act, params.kernel(i), params.bias(i))
+        z, _ = _conv_forward(act, params.kernel(i), params.bias(i))
         act = _ACT[layer.activation][0](z)
     return act
 
@@ -247,27 +376,33 @@ def batch_gradient(
     if inputs.shape[:3] != targets.shape[:3]:
         raise ValueError(f"inputs {inputs.shape} inconsistent with targets {targets.shape}")
     _check_input(spec, inputs)
-    a = inputs.shape[0]
-    acts = [np.asarray(inputs, dtype=np.float64)]
-    zs = []
+    act = np.asarray(inputs, dtype=np.float64)
+    padded, zs = [], []
     for i, layer in enumerate(spec.layers):
-        z = _conv_forward(acts[-1], params.kernel(i), params.bias(i))
+        z, xp = _conv_forward(act, params.kernel(i), params.bias(i))
+        padded.append(xp)
         zs.append(z)
-        acts.append(_ACT[layer.activation][0](z))
-    pred = acts[-1]
-    if pred.shape != targets.shape:
-        raise ValueError(f"targets shape {targets.shape} != output {pred.shape}")
-    diff = pred - targets
+        act = _ACT[layer.activation][0](z)
+    if act.shape != targets.shape:
+        raise ValueError(f"targets shape {targets.shape} != output {act.shape}")
+    diff = act - targets
     loss = float(np.mean(diff * diff))
     grad = np.zeros_like(params.data)
     gview = ParamVector(grad, params.layout)
     # batch-mean of per-sample mean MSE: every element carries 1/(A*H*W*C)
     da = (2.0 / diff.size) * diff
     for i in range(len(spec.layers) - 1, -1, -1):
-        dz = da * _ACT[spec.layers[i].activation][1](zs[i])
-        d_kernel, d_bias, da = _conv_backward(acts[i], params.kernel(i), dz)
-        gview.kernel(i)[...] = d_kernel
-        gview.bias(i)[...] = d_bias
+        kernel = params.kernel(i)
+        kh, kw, c_in, c_out = kernel.shape
+        # popped, so that each layer's buffers are freed once it is done
+        dz = _ACT[spec.layers[i].activation][1](zs.pop())
+        dz *= da
+        # layer 0 needs no input gradient, nor dzp when it unfolds whole
+        dzp = _pad(dz, kh, kw, flipped=True) if i or _plan(kw, c_in, c_out) != "whole" else None
+        gview.kernel(i)[...] = _kernel_gradient(padded.pop(), dz, dzp)
+        gview.bias(i)[...] = dz.sum(axis=(0, 1, 2))
+        if i:
+            da = _correlate(dzp, np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2)))
     return grad, loss
 
 

@@ -309,6 +309,13 @@ def run_round(
         local_train(config.network, state.global_params, cache, config)
         for cache in filtered
     ]
+    for update in updates:
+        bad = np.flatnonzero(~np.isfinite(update.params))
+        if bad.size:
+            raise RuntimeError(
+                f"station {update.sbs_id} diverged in round {t}: its local update "
+                f"has a non-finite value at coordinate {int(bad[0])}"
+            )
     flat = aggregation.aggregate(
         updates, config.aggregator,
         rng=derive_rng(seed, "aggregate", t),

@@ -1,9 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-The heavier criteria (5-9) run small federated experiments; configs are
-deliberately desk-scale so the whole module finishes in roughly half an
-hour on one core.  Experiment runs are memoized per session (conftest),
-so overlapping criteria share work.
+Criteria 1-4 and 10 are here (criteria 5-9, the LLPF detection power and
+the reproductions of the attack ranking and of robust aggregation, are
+not yet); the module finishes in seconds.
 """
 import dataclasses
 import math

@@ -86,6 +86,35 @@ def test_invariant_violations_are_named(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("extra, name", [
+    ({"rounds": True}, "rounds"),
+    ({"epochs": 2.7}, "epochs"),
+    ({"persist_caches": "no"}, "persist_caches"),
+    ({"persist_caches": 0}, "persist_caches"),
+    ({"learning_rate": True}, "learning_rate"),
+    ({"pretrain_epochs": 1.5}, "pretrain_epochs"),
+    ({"network": {"input_height": False}}, "input_height"),
+    ({"network": {"layers": [[3, 3.5, 2, "selu"]]}}, "network layer size"),
+    ({"channel": {"path_count": True}}, "path_count"),
+    ({"channel": {"max_delay_taps": 1.25}}, "max_delay_taps"),
+])
+def test_lossy_field_types_rejected(tmp_path, extra, name):
+    # int() and bool() would silently turn these into other values
+    path = write_tiny_config(tmp_path, **extra)
+    with pytest.raises(ConfigError, match=name):
+        parse_config(path)
+
+
+def test_exact_field_types_accepted(tmp_path):
+    path = write_tiny_config(tmp_path, epochs=2.0, persist_caches=True, learning_rate=1,
+                             channel={**TINY["channel"], "doppler_spread": 0})
+    cfg = parse_config(path)
+    assert cfg.epochs == 2 and type(cfg.epochs) is int
+    assert cfg.persist_caches is True
+    assert cfg.learning_rate == 1.0 and type(cfg.learning_rate) is float
+    assert type(cfg.channel.doppler_spread) is float
+
+
 def test_roundtrip_of_nested_sections(tmp_path):
     path = write_tiny_config(
         tmp_path,

@@ -120,6 +120,51 @@ def test_forward_same_padding_against_loop_oracle():
                 assert out[i, j, f] == pytest.approx(float(nn.selu(np.array([acc]))[0]), rel=1e-12)
 
 
+def loop_conv(x, kernel, bias):
+    """Direct same-padded convolution of one (H, W, C) sample: the kernel's
+    cell ((kh - 1) // 2, (kw - 1) // 2) sits on the output cell."""
+    h, w, _ = x.shape
+    kh, kw, c_in, c_out = kernel.shape
+    top, left = (kh - 1) // 2, (kw - 1) // 2
+    out = np.tile(bias, (h, w, 1)).astype(float)
+    for i in range(h):
+        for j in range(w):
+            for di in range(kh):
+                for dj in range(kw):
+                    ii, jj = i + di - top, j + dj - left
+                    if 0 <= ii < h and 0 <= jj < w:
+                        out[i, j] += x[ii, jj] @ kernel[di, dj]
+    return out
+
+
+# even, non-square and larger-than-grid kernels on a 5x3 grid, and the default 5x5
+KERNEL_SHAPES = [(2, 4), (4, 2), (1, 6), (6, 3), (5, 5)]
+# (c_in, c_out): unfold the whole kernel, unfold one kernel row, one
+# product per offset (see nn._plan)
+CHANNEL_PAIRS = [(1, 7), (2, 3), (3, 2)]
+
+
+def test_channel_pairs_reach_every_product_plan():
+    plans = {nn._plan(kw, c_in, c_out)
+             for _, kw in KERNEL_SHAPES for c_in, c_out in CHANNEL_PAIRS}
+    assert plans == {"whole", "rows", "offsets"}
+    for _, kw in KERNEL_SHAPES:
+        assert [nn._plan(kw, *pair) for pair in CHANNEL_PAIRS] == ["whole", "rows", "offsets"]
+
+
+@pytest.mark.parametrize("kh, kw", KERNEL_SHAPES)
+@pytest.mark.parametrize("c_in, c_out", CHANNEL_PAIRS)
+def test_forward_kernel_shapes_against_loop_oracle(kh, kw, c_in, c_out):
+    spec = nn.NetworkSpec(layers=(nn.LayerSpec(kh, kw, c_out, "selu"),), input_shape=(5, 3, c_in))
+    rng = np.random.default_rng(kh * 10 + kw)
+    p = nn.unflatten_params(rng.normal(size=nn.param_count(spec)), spec)
+    xs = rng.normal(size=(2, 5, 3, c_in))
+    out = nn.forward_batch(spec, p, xs)
+    for x, got in zip(xs, out):
+        want = nn.selu(loop_conv(x, p.kernel(0), p.bias(0)))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
 def test_forward_shape_mismatch_error():
     spec = tiny_spec()
     p = nn.init_params(spec, 0)
@@ -213,6 +258,24 @@ def test_gradient_matches_finite_differences():
     assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
 
+@pytest.mark.parametrize("kh, kw", KERNEL_SHAPES)
+def test_gradient_kernel_shapes_match_finite_differences(kh, kw):
+    # channels 1 -> 7 -> 1 -> 3 -> 2: the forward products and the input
+    # gradients (the same correlation with the channels swapped) reach every
+    # product plan, the kernel gradients both of theirs
+    layers = tuple(nn.LayerSpec(kh, kw, f, act) for f, act in
+                   zip((7, 1, 3, 2), ("selu", "softplus", "selu", "softplus")))
+    spec = nn.NetworkSpec(layers=layers, input_shape=(5, 3, 1))
+    rng = np.random.default_rng(kh * 10 + kw)
+    p = nn.init_params(spec, kh * 10 + kw)
+    p.data[:] += rng.uniform(-0.1, 0.1, p.data.size)  # non-zero biases too
+    xs = rng.normal(size=(2,) + spec.input_shape)
+    ys = rng.normal(size=(2, 5, 3, 2))
+    grad, _ = nn.batch_gradient(spec, p, xs, ys)
+    fd = finite_difference_grad(spec, p, xs, ys)
+    assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
+
+
 def test_gradient_linear_layer_closed_form():
     # 1x1 single-filter selu layer kept in the positive branch reduces to the
     # scaled linear model: dL/dw = (2/AE) * sum lambda*x*(lambda*w*x - y)
@@ -261,6 +324,31 @@ def test_backward_accepts_sample_batches():
     targets = np.stack([s.label for s in batch])
     g2, _ = nn.batch_gradient(spec, p, inputs, targets)
     assert np.array_equal(g.data, g2)
+
+
+@pytest.mark.parametrize("kh, kw", [(5, 5), (4, 2), (6, 3)])
+def test_samples_do_not_mix_in_the_batch(kh, kw):
+    # samples share one flat padded buffer; padded rows are all that keeps
+    # them apart, so an off-by-one offset would leak one into the next
+    layers = (nn.LayerSpec(kh, kw, 6, "selu"), nn.LayerSpec(kh, kw, 3, "softplus"),
+              nn.LayerSpec(kh, kw, 2, "selu"))
+    spec = nn.NetworkSpec(layers=layers, input_shape=(5, 3, 2))
+    p = nn.init_params(spec, 50)
+    rng = np.random.default_rng(50)
+    xs = rng.normal(size=(4,) + spec.input_shape)
+    ys = rng.normal(size=(4, 5, 3, 2))
+    base = nn.forward_batch(spec, p, xs)
+    for j in range(4):
+        perturbed = xs.copy()
+        perturbed[j] += 100.0
+        out = nn.forward_batch(spec, p, perturbed)
+        assert not np.array_equal(out[j], base[j])
+        for i in range(4):
+            if i != j:
+                assert np.array_equal(out[i], base[i])
+    grad, _ = nn.batch_gradient(spec, p, xs, ys)
+    singles = [nn.batch_gradient(spec, p, xs[i:i + 1], ys[i:i + 1])[0] for i in range(4)]
+    assert np.allclose(grad, np.mean(singles, axis=0), rtol=1e-12, atol=0)
 
 
 # --------------------------- optimizers -----------------------------------

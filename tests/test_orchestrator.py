@@ -322,6 +322,17 @@ def test_non_finite_aggregate_aborts_with_diagnostic(monkeypatch):
         run_round(state, cfg)
 
 
+@pytest.mark.parametrize("kind", ["stomedian", "fedavg"])
+def test_diverging_station_named_before_aggregation(kind):
+    # a step of 1e100 overflows the local weights to inf/nan; the error must
+    # name the station, not come out of the aggregator
+    cfg = desk_config(rounds=1, pretrain_epochs=0, learning_rate=1e100,
+                      aggregator=aggregation.Aggregator(kind=kind))
+    with np.errstate(all="ignore"):
+        with pytest.raises(RuntimeError, match=r"station 0 diverged in round 1"):
+            run_experiment(cfg)
+
+
 def test_persist_caches_reuses_round_one_data():
     cfg = desk_config(persist_caches=True, rounds=2)
     params, pre, val = pretrain(cfg)
