@@ -27,10 +27,7 @@ from .channel import (
     ChannelSample,
     generate_round_caches,
     lagged_label,
-    load_dataset,
     make_sample,
-    save_dataset,
-    synthesize_channel,
     topup_with_pretrain,
 )
 from .llpf import LlpfConfig, classify_losses, filter_cache, per_sample_losses, trunc_gauss_cdf
@@ -39,9 +36,7 @@ from .nn import (
     NetworkSpec,
     OptimizerState,
     ParamVector,
-    backward,
     default_network_spec,
-    flatten_params,
     forward,
     forward_batch,
     init_optimizer,

@@ -70,7 +70,7 @@ def _as_poisoned(sample: ChannelSample, mode: str) -> ChannelSample:
     # dropped because the poisoned label no longer matches them
     return ChannelSample(
         input=sample.input, label=sample.label, provenance=mode,
-        origin_mu_id=sample.origin_mu_id, uid=sample.uid, fading=None,
+        uid=sample.uid, fading=None,
     )
 
 

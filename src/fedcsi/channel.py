@@ -8,17 +8,10 @@ Complex grids are carried as two real channels (real, imaginary).
 """
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-PROVENANCE_CODES = {"authentic": 0, "outdate": 1, "collusion": 2, "reverse": 3}
-_CODE_TO_PROVENANCE = {v: k for k, v in PROVENANCE_CODES.items()}
-
-_MAGIC = b"FSCH"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -65,7 +58,6 @@ class ChannelSample:
     input: np.ndarray   # (H, W, 2) interpolated noisy pilots
     label: np.ndarray   # (H, W, 2) true CSI
     provenance: str = "authentic"
-    origin_mu_id: int = 0
     uid: int = 0
     fading: Optional[FadingParams] = None
 
@@ -89,18 +81,9 @@ class CachedDataset:
     def l_n(self) -> int:
         return len(self.samples)
 
-    def partition(self) -> tuple[list, list]:
-        authentic = [s for s in self.samples if s.provenance == "authentic"]
-        poisoned = [s for s in self.samples if s.provenance != "authentic"]
-        return authentic, poisoned
-
 
 def split_complex(grid: np.ndarray) -> np.ndarray:
     return np.stack([grid.real, grid.imag], axis=-1)
-
-
-def merge_complex(tensor: np.ndarray) -> np.ndarray:
-    return tensor[..., 0] + 1j * tensor[..., 1]
 
 
 def draw_fading(cfg: ChannelConfig, rng: np.random.Generator) -> FadingParams:
@@ -121,12 +104,6 @@ def channel_grid(
     steer_f = np.exp(-2j * np.pi * f * fading.delays[None, :] / height)
     steer_t = np.exp(2j * np.pi * t * fading.dopplers[None, :])
     return (steer_f * fading.gains) @ steer_t.T
-
-
-def synthesize_channel(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    cfg.validate()
-    fading = draw_fading(cfg, rng)
-    return channel_grid(fading, cfg.grid_height, cfg.grid_width)
 
 
 def _interp_matrix(n_out: int, knots: np.ndarray) -> np.ndarray:
@@ -156,7 +133,6 @@ def interpolate_pilots(
 def make_sample(
     cfg: ChannelConfig,
     rng: np.random.Generator,
-    origin_mu_id: int = 0,
     uid: int = 0,
 ) -> ChannelSample:
     """One (pilot-grid input, CSI label) pair; authentic at generation time."""
@@ -176,7 +152,6 @@ def make_sample(
         input=split_complex(estimate),
         label=split_complex(grid),
         provenance="authentic",
-        origin_mu_id=origin_mu_id,
         uid=uid,
         fading=fading,
     )
@@ -196,18 +171,15 @@ def generate_round_caches(
     rng: np.random.Generator,
     round_index: int = 0,
     uid_start: int = 0,
-    mu_id_start: int = 0,
 ) -> list[CachedDataset]:
-    """Fresh disjoint caches of the requested lengths with sequential MU ids."""
+    """Fresh disjoint caches of the requested lengths with sequential uids."""
     caches = []
     uid = uid_start
-    mu_id = mu_id_start
     for sbs_id, length in enumerate(lengths):
         samples = []
         for _ in range(int(length)):
-            samples.append(make_sample(cfg, rng, origin_mu_id=mu_id, uid=uid))
+            samples.append(make_sample(cfg, rng, uid=uid))
             uid += 1
-            mu_id += 1
         caches.append(CachedDataset(samples=samples, sbs_id=sbs_id, round_index=round_index))
     return caches
 
@@ -240,48 +212,3 @@ def topup_with_pretrain(
         round_index=cache.round_index,
         aggregation_len=cache.aggregation_len,
     )
-
-
-# --------------------------- dataset file format --------------------------
-
-def save_dataset(path, samples: list) -> None:
-    """Flat little-endian dump: FSCH header then per-sample grids and tags."""
-    if not samples:
-        raise ValueError("refusing to write an empty dataset")
-    h, w = samples[0].input.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIII", _MAGIC, _VERSION, len(samples), h, w))
-        for s in samples:
-            if s.input.shape != (h, w, 2) or s.label.shape != (h, w, 2):
-                raise ValueError("inconsistent sample shapes in dataset")
-            fh.write(np.ascontiguousarray(s.input, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(s.label, dtype="<f8").tobytes())
-            fh.write(struct.pack("<BI", PROVENANCE_CODES[s.provenance], s.origin_mu_id))
-
-
-def load_dataset(path) -> list[ChannelSample]:
-    with open(path, "rb") as fh:
-        header = fh.read(20)
-        if len(header) != 20:
-            raise ValueError("truncated dataset header")
-        magic, version, count, h, w = struct.unpack("<4sIIII", header)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        if version != _VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
-        grid_bytes = h * w * 2 * 8
-        samples = []
-        for uid in range(count):
-            raw = fh.read(2 * grid_bytes + 5)
-            if len(raw) != 2 * grid_bytes + 5:
-                raise ValueError(f"truncated dataset at sample {uid}")
-            inp = np.frombuffer(raw[:grid_bytes], dtype="<f8").reshape(h, w, 2).copy()
-            lab = np.frombuffer(raw[grid_bytes:2 * grid_bytes], dtype="<f8").reshape(h, w, 2).copy()
-            code, mu_id = struct.unpack("<BI", raw[2 * grid_bytes:])
-            if code not in _CODE_TO_PROVENANCE:
-                raise ValueError(f"unknown provenance code {code}")
-            samples.append(ChannelSample(
-                input=inp, label=lab, provenance=_CODE_TO_PROVENANCE[code],
-                origin_mu_id=mu_id, uid=uid,
-            ))
-    return samples

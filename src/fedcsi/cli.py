@@ -12,20 +12,20 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
+import types
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import nn, plotting
-from .aggregation import AGGREGATOR_KINDS, Aggregator
+from .aggregation import AGGREGATOR_KINDS
 from .attacks import ATTACK_MODES, DEPLOYMENTS, AttackPlan
-from .channel import ChannelConfig
-from .llpf import LlpfConfig
 from .orchestrator import ExperimentConfig, MetricsRecord, run_experiment
 
 CSV_FIELDS = (
@@ -39,102 +39,98 @@ class ConfigError(ValueError):
 
 
 # --------------------------- config parsing --------------------------------
+# The config dataclasses are the schema: each section is read field by field
+# from the dataclass's type hints, so a new field needs no parser change.
 
-def _check_keys(data: dict, allowed: set, section: str) -> None:
-    unknown = sorted(set(data) - allowed)
+def _value(value, hint, name: str):
+    """`value` as type `hint` without lossy casts: a bool is not a number, an
+    int field takes a float only if it is integral, a float must be finite,
+    and bool and str fields take only their own JSON type."""
+    if get_origin(hint) in (Union, types.UnionType):
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if hint is nn.NetworkSpec:
+        return _network_from_dict(value)
+    if dataclasses.is_dataclass(hint):
+        return _from_dict(hint, value, name)
+    if hint is np.ndarray:
+        values = _floats(value, name)
+        try:
+            return np.asarray(values, dtype=np.float64)
+        except ValueError as exc:  # ragged nesting
+            raise ConfigError(f"{name} must be a rectangular array: {exc}") from exc
+    if hint in (bool, str):
+        if type(value) is not hint:
+            raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
+        return value
+    if hint not in (int, float):
+        raise TypeError(f"no config rule for {name}: {hint!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if hint is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return hint(value)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(f"{name} must be finite, got {value!r}") from None
+
+
+def _floats(value, name: str):
+    if isinstance(value, list):
+        return [_floats(v, name) for v in value]
+    return _value(value, float, name)
+
+
+def _object(data, section: str, allowed) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} config must be an object, got {data!r}")
+    unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {section} config")
 
 
-def _typed(value, kind: type, name: str):
-    """`value` as `kind` without lossy casts: a bool is not a number, an
-    int field takes no fraction, and a bool field takes only true/false."""
-    if (kind is bool) != isinstance(value, bool):
-        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return kind(value)
+def _from_dict(cls, data, section: str):
+    """An instance of dataclass `cls` from a JSON object; absent keys keep
+    the field defaults."""
+    fields = dataclasses.fields(cls)
+    _object(data, section, {f.name for f in fields})
+    hints = get_type_hints(cls)
+    prefix = "" if cls is ExperimentConfig else f"{section}."
+    kwargs = {}
+    for f in fields:
+        if f.name in data:
+            kwargs[f.name] = _value(data[f.name], hints[f.name], prefix + f.name)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{section} config needs {f.name!r}")
+    return cls(**kwargs)
 
 
-def _network_from_dict(data: dict) -> nn.NetworkSpec:
-    _check_keys(data, {"input_height", "input_width", "layers"}, "network")
-    height = _typed(data.get("input_height", 72), int, "input_height")
-    width = _typed(data.get("input_width", 14), int, "input_width")
+def _network_from_dict(data) -> nn.NetworkSpec:
+    """The network section names the grid and lists layers as
+    [kh, kw, filters, activation]; absent layers give the default stack."""
+    _object(data, "network", {"input_height", "input_width", "layers"})
+    height = _value(data.get("input_height", 72), int, "network.input_height")
+    width = _value(data.get("input_width", 14), int, "network.input_width")
     layers = data.get("layers")
     if layers is None:
         return nn.default_network_spec(height, width)
+    if not isinstance(layers, list):
+        raise ConfigError(f"network.layers must be a list, got {layers!r}")
     parsed = []
     for entry in layers:
-        if len(entry) != 4:
+        if not isinstance(entry, list) or len(entry) != 4:
             raise ConfigError(f"network layer {entry!r} must be [kh, kw, filters, activation]")
-        kh, kw, filters = (_typed(v, int, "network layer size") for v in entry[:3])
-        parsed.append(nn.LayerSpec(kh, kw, filters, str(entry[3])))
+        kh, kw, filters = (_value(v, int, "network layer size") for v in entry[:3])
+        activation = _value(entry[3], str, "network layer activation")
+        parsed.append(nn.LayerSpec(kh, kw, filters, activation))
     return nn.NetworkSpec(layers=tuple(parsed), input_shape=(height, width, 2))
 
 
-def _channel_from_dict(data: dict) -> ChannelConfig:
-    fields = {f.name for f in dataclasses.fields(ChannelConfig)}
-    _check_keys(data, fields, "channel")
-    defaults = ChannelConfig()
-    return ChannelConfig(**{k: _typed(v, type(getattr(defaults, k)), k) for k, v in data.items()})
-
-
-def _attack_from_dict(data: Optional[dict]) -> Optional[AttackPlan]:
-    if data is None:
-        return None
-    fields = {f.name for f in dataclasses.fields(AttackPlan)}
-    _check_keys(data, fields, "attack")
-    if "mode" not in data:
-        raise ConfigError("attack config needs a 'mode'")
-    kwargs = dict(data)
-    if kwargs.get("collusion_payload") is not None:
-        kwargs["collusion_payload"] = np.asarray(kwargs["collusion_payload"], dtype=np.float64)
-    return AttackPlan(**kwargs)
-
-
-def _aggregator_from_dict(data: dict) -> Aggregator:
-    fields = {f.name for f in dataclasses.fields(Aggregator)}
-    _check_keys(data, fields, "aggregator")
-    return Aggregator(**data)
-
-
-def _llpf_from_dict(data: dict) -> LlpfConfig:
-    fields = {f.name for f in dataclasses.fields(LlpfConfig)}
-    _check_keys(data, fields, "llpf")
-    return LlpfConfig(**data)
-
-
-_SCALAR_FIELDS = {
-    "n_sbs": int, "rounds": int, "mu_count": int, "cache_len_lo": int,
-    "cache_len_hi": int, "i_min": int, "pretrain_size": int,
-    "validation_size": int, "epochs": int, "batch_size": int,
-    "learning_rate": float, "momentum": float, "sgd_steps": int,
-    "local_mode": str, "persist_caches": bool, "exclude_fraction": float,
-    "master_seed": int,
-}
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
-    allowed = set(_SCALAR_FIELDS) | {"pretrain_epochs", "network", "channel",
-                                     "attack", "aggregator", "llpf"}
-    _check_keys(data, allowed, "experiment")
-    kwargs = {}
-    for key, kind in _SCALAR_FIELDS.items():
-        if key in data:
-            kwargs[key] = _typed(data[key], kind, key)
-    if "pretrain_epochs" in data and data["pretrain_epochs"] is not None:
-        kwargs["pretrain_epochs"] = _typed(data["pretrain_epochs"], int, "pretrain_epochs")
-    if "network" in data:
-        kwargs["network"] = _network_from_dict(data["network"])
-    if "channel" in data:
-        kwargs["channel"] = _channel_from_dict(data["channel"])
-    if "attack" in data:
-        kwargs["attack"] = _attack_from_dict(data["attack"])
-    if "aggregator" in data:
-        kwargs["aggregator"] = _aggregator_from_dict(data["aggregator"])
-    if "llpf" in data:
-        kwargs["llpf"] = _llpf_from_dict(data["llpf"])
-    config = ExperimentConfig(**kwargs)
+    config = _from_dict(ExperimentConfig, data, "experiment")
     try:
         config.validate()
     except ValueError as exc:
@@ -152,13 +148,9 @@ def parse_config(path) -> ExperimentConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be an object")
     try:
         return config_from_dict(data)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -109,19 +109,3 @@ def filter_cache(
         samples=samples, sbs_id=cache.sbs_id, round_index=cache.round_index,
         aggregation_len=cache.aggregation_len,
     )
-
-
-def cdf_fit_gap(losses: np.ndarray, cfg: LlpfConfig) -> float:
-    """Max gap between the empirical loss CDF and the surrogate (diagnostic
-    only; the surrogate is not a normalized CDF, so no threshold is asserted).
-    """
-    mu = location_parameter(np.asarray(losses), cfg)
-    if mu <= 0.0:
-        return 1.0
-    srt = np.sort(losses)
-    n = srt.size
-    gap = 0.0
-    for i, x in enumerate(srt):
-        empirical = (i + 1) / n
-        gap = max(gap, abs(empirical - trunc_gauss_cdf(float(x), mu, cfg.k_sigma)))
-    return gap

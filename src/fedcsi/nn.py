@@ -8,7 +8,7 @@ end to end and the network maps an H x W x C_in grid to H x W x C_out.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -124,10 +124,6 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
             bound = np.sqrt(1.0 / (kh * kw * c_in))
             data[e.offset:e.offset + e.size] = rng.uniform(-bound, bound, e.size)
     return ParamVector(data, layout)
-
-
-def flatten_params(params: ParamVector) -> np.ndarray:
-    return params.data.copy()
 
 
 def unflatten_params(flat: np.ndarray, spec: NetworkSpec) -> ParamVector:
@@ -406,16 +402,6 @@ def batch_gradient(
     return grad, loss
 
 
-def backward(spec: NetworkSpec, params: ParamVector, batch: Sequence) -> ParamVector:
-    """Gradient of the mean MSE over a batch of samples (input/label pairs)."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    inputs = np.stack([s.input for s in batch])
-    targets = np.stack([s.label for s in batch])
-    grad, _ = batch_gradient(spec, params, inputs, targets)
-    return ParamVector(grad, params.layout)
-
-
 # --------------------------- optimizers ----------------------------------
 
 @dataclass
@@ -477,14 +463,12 @@ def train_minibatch(
     eps: float = 1e-8,
     optimizer: str = "adam",
     max_steps: Optional[int] = None,
-    track_losses: bool = False,
-) -> ParamVector | tuple[ParamVector, list[float]]:
+) -> ParamVector:
     """Mini-batch training loop with per-epoch shuffling from `rng`.
 
     The last partial batch of each epoch is kept.  With `max_steps` the loop
     stops after that many optimizer steps regardless of epoch boundaries
-    (used for the fixed-step SGD mode).  Returns the trained parameters, plus
-    the per-epoch full-set losses when `track_losses` is set.
+    (used for the fixed-step SGD mode).
     """
     if inputs.shape[0] == 0:
         raise ValueError("empty training set")
@@ -493,7 +477,6 @@ def train_minibatch(
     n = inputs.shape[0]
     flat = params.data.copy()
     state = init_optimizer(optimizer, flat.size, learning_rate, beta1, beta2, eps)
-    losses: list[float] = []
     steps = 0
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -505,10 +488,6 @@ def train_minibatch(
             grad, _ = batch_gradient(spec, view, inputs[idx], targets[idx])
             flat, state = optimizer_step(flat, grad, state)
             steps += 1
-        if track_losses:
-            pred = forward_batch(spec, ParamVector(flat, params.layout), inputs)
-            losses.append(mse_loss(pred, targets))
         if max_steps is not None and steps >= max_steps:
             break
-    trained = ParamVector(flat, params.layout)
-    return (trained, losses) if track_losses else trained
+    return ParamVector(flat, params.layout)

@@ -24,7 +24,6 @@ LABEL_CHANNELS = 2
 class ExperimentConfig:
     n_sbs: int = 10
     rounds: int = 10
-    mu_count: int = 1000  # bookkeeping only: fleet size attackers recruit from
     cache_len_lo: int = 170
     cache_len_hi: int = 230
     i_min: int = 200
@@ -48,7 +47,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for name in ("n_sbs", "cache_len_lo", "cache_len_hi", "pretrain_size",
-                     "validation_size", "batch_size", "mu_count"):
+                     "validation_size", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("rounds", "i_min", "epochs", "sgd_steps"):
@@ -68,9 +67,14 @@ class ExperimentConfig:
         self.channel.validate()
         self.aggregator.validate()
         self.llpf.validate()
+        grid = (self.channel.grid_height, self.channel.grid_width, LABEL_CHANNELS)
         if self.attack is not None:
             self.attack.validate(self.n_sbs)
-        grid = (self.channel.grid_height, self.channel.grid_width, LABEL_CHANNELS)
+            payload = self.attack.collusion_payload
+            if payload is not None and payload.shape != grid:
+                raise ValueError(f"collusion_payload shape {payload.shape} != label grid {grid}")
+            if payload is not None and not np.isfinite(payload).all():
+                raise ValueError("collusion_payload must be finite")
         if tuple(self.network.input_shape) != grid:
             raise ValueError(
                 f"network input {self.network.input_shape} != channel grid {grid}"
@@ -101,7 +105,6 @@ class FederationState:
     attack_plan: Optional[attacks.AttackPlan]
     caches: Optional[list] = None
     next_uid: int = 0
-    next_mu_id: int = 0
 
 
 def _attack_fields(plan: Optional[attacks.AttackPlan]) -> tuple[str, str, float]:
@@ -167,15 +170,12 @@ def pretrain(config: ExperimentConfig) -> tuple[nn.ParamVector, list, list]:
     seed = config.master_seed
     data_rng = derive_rng(seed, "pretrain-data")
     pretrain_set = [
-        channel.make_sample(config.channel, data_rng, origin_mu_id=i, uid=i)
+        channel.make_sample(config.channel, data_rng, uid=i)
         for i in range(config.pretrain_size)
     ]
     val_rng = derive_rng(seed, "validation-data")
     validation_set = [
-        channel.make_sample(
-            config.channel, val_rng,
-            origin_mu_id=config.pretrain_size + i, uid=config.pretrain_size + i,
-        )
+        channel.make_sample(config.channel, val_rng, uid=config.pretrain_size + i)
         for i in range(config.validation_size)
     ]
     init_seed = int(derive_rng(seed, "init").integers(2 ** 31))
@@ -253,7 +253,7 @@ def _build_round_caches(state: FederationState, config: ExperimentConfig, t: int
     )
     caches = channel.generate_round_caches(
         config.channel, [int(l) for l in lengths], derive_rng(seed, "caches", t),
-        round_index=t, uid_start=state.next_uid, mu_id_start=state.next_mu_id,
+        round_index=t, uid_start=state.next_uid,
     )
     produced = int(lengths.sum())
     caches = _exclude_authentic(
@@ -342,7 +342,6 @@ def run_round(
         attack_plan=plan,
         caches=caches if config.persist_caches else filtered,
         next_uid=state.next_uid + produced,
-        next_mu_id=state.next_mu_id + produced,
     )
     return new_state, record
 
@@ -374,7 +373,6 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
         validation_set=validation_set,
         attack_plan=config.attack,
         next_uid=config.pretrain_size + config.validation_size,
-        next_mu_id=config.pretrain_size + config.validation_size,
     )
     for _ in range(config.rounds):
         state, record = run_round(state, config)

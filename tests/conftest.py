@@ -23,7 +23,6 @@ def desk_config(**overrides) -> ExperimentConfig:
     base = dict(
         n_sbs=3,
         rounds=2,
-        mu_count=50,
         cache_len_lo=8,
         cache_len_hi=12,
         i_min=6,

@@ -178,7 +178,7 @@ def test_c10_determinism(tmp_path):
     config = {
         "n_sbs": 3, "rounds": 2, "cache_len_lo": 6, "cache_len_hi": 8, "i_min": 5,
         "pretrain_size": 10, "validation_size": 8, "epochs": 2, "batch_size": 8,
-        "learning_rate": 0.003, "mu_count": 30,
+        "learning_rate": 0.003,
         "network": {"input_height": 12, "input_width": 8,
                     "layers": [[3, 3, 5, "selu"], [3, 3, 2, "selu"]]},
         "channel": {"grid_height": 12, "grid_width": 8, "path_count": 4,

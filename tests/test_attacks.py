@@ -126,7 +126,7 @@ def test_widespread_counts():
     plan = AttackPlan(mode="reverse", ratio=0.2)
     out = attacks.poison_caches(caches, plan, derive_rng(7, "ws"))
     for cache in out:
-        _, poisoned = cache.partition()
+        poisoned = [s for s in cache.samples if s.provenance != "authentic"]
         assert len(poisoned) == 2  # floor(0.2 * 10)
         assert cache.l_n == 10
 
@@ -136,7 +136,7 @@ def test_targeted_concentrates_on_one_cache():
     plan = AttackPlan(mode="reverse", deployment="targeted", ratio=0.3, target_sbs=2)
     out = attacks.poison_caches(caches, plan, derive_rng(8, "tg"))
     for cache in out:
-        _, poisoned = cache.partition()
+        poisoned = [s for s in cache.samples if s.provenance != "authentic"]
         if cache.sbs_id == 2:
             assert len(poisoned) == 3  # floor(0.3 * 40 / 4)
         else:
@@ -148,7 +148,7 @@ def test_targeted_count_capped_at_cache_length():
     caches = make_caches([2, 30, 30])
     plan = AttackPlan(mode="reverse", deployment="targeted", ratio=0.5, target_sbs=0)
     out = attacks.poison_caches(caches, plan, derive_rng(9, "cap"))
-    _, poisoned = out[0].partition()
+    poisoned = [s for s in out[0].samples if s.provenance != "authentic"]
     assert len(poisoned) == 2  # floor(0.5 * 62 / 3) = 10, capped at 2
 
 
@@ -157,8 +157,7 @@ def test_poisoning_preserves_counts_inputs_and_originals():
     plan = AttackPlan(mode="reverse", ratio=0.3)
     out = attacks.poison_caches(caches, plan, derive_rng(10, "acct"))
     for before, after in zip(caches, out):
-        authentic, poisoned = after.partition()
-        assert len(authentic) + len(poisoned) == before.l_n
+        assert after.l_n == before.l_n
         assert after.aggregation_len == before.aggregation_len
         for s_old, s_new in zip(before.samples, after.samples):
             assert np.array_equal(s_old.input, s_new.input)  # inputs never modified

@@ -16,6 +16,10 @@ def small_cfg(**kw):
     return ChannelConfig(**base)
 
 
+def synthesize(cfg, rng):
+    return channel.channel_grid(channel.draw_fading(cfg, rng), cfg.grid_height, cfg.grid_width)
+
+
 # --------------------------- synthesis ------------------------------------
 
 def test_single_static_path_gives_constant_grid():
@@ -30,15 +34,15 @@ def test_channel_power_montecarlo():
     cfg = small_cfg()
     rng = derive_rng(0, "power-check")
     power = np.mean([
-        np.mean(np.abs(channel.synthesize_channel(cfg, rng)) ** 2) for _ in range(1000)
+        np.mean(np.abs(synthesize(cfg, rng)) ** 2) for _ in range(1000)
     ])
     assert abs(power - 1.0) < 0.1
 
 
 def test_synthesize_deterministic_given_seed():
     cfg = small_cfg()
-    a = channel.synthesize_channel(cfg, derive_rng(7, "chan"))
-    b = channel.synthesize_channel(cfg, derive_rng(7, "chan"))
+    a = synthesize(cfg, derive_rng(7, "chan"))
+    b = synthesize(cfg, derive_rng(7, "chan"))
     assert np.array_equal(a, b)
 
 
@@ -56,7 +60,9 @@ def test_config_validation():
 def test_split_merge_roundtrip():
     rng = np.random.default_rng(0)
     grid = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-    assert np.array_equal(channel.merge_complex(channel.split_complex(grid)), grid)
+    split = channel.split_complex(grid)
+    assert np.array_equal(split[..., 0], grid.real)
+    assert np.array_equal(split[..., 1], grid.imag)
 
 
 def test_noiseless_dense_pilots_input_equals_label():
@@ -124,9 +130,7 @@ def test_generate_round_caches_lengths_and_disjoint():
     caches = channel.generate_round_caches(cfg, [3, 5], derive_rng(6, "caches"))
     assert [c.l_n for c in caches] == [3, 5]
     uids = [s.uid for c in caches for s in c.samples]
-    assert len(uids) == len(set(uids))
-    mu_ids = [s.origin_mu_id for c in caches for s in c.samples]
-    assert mu_ids == list(range(8))
+    assert uids == list(range(8))
     assert [c.aggregation_len for c in caches] == [3, 5]
 
 
@@ -168,43 +172,11 @@ def test_topup_with_replacement_when_pretrain_small():
     assert all(s.uid == 50 for s in out.samples)
 
 
-# --------------------------- file format -----------------------------------
-
-def test_dataset_roundtrip(tmp_path):
-    cfg = small_cfg()
-    rng = derive_rng(12, "io")
-    samples = [channel.make_sample(cfg, rng, origin_mu_id=i, uid=i) for i in range(4)]
-    samples[2].provenance = "reverse"
-    path = tmp_path / "dump.fsch"
-    channel.save_dataset(path, samples)
-    loaded = channel.load_dataset(path)
-    assert len(loaded) == 4
-    for orig, back in zip(samples, loaded):
-        assert np.array_equal(orig.input, back.input)
-        assert np.array_equal(orig.label, back.label)
-        assert orig.provenance == back.provenance
-        assert orig.origin_mu_id == back.origin_mu_id
-
-
-def test_dataset_rejects_corruption(tmp_path):
-    cfg = small_cfg()
-    samples = [channel.make_sample(cfg, derive_rng(13, "io2"), uid=0)]
-    path = tmp_path / "dump.fsch"
-    channel.save_dataset(path, samples)
-    raw = path.read_bytes()
-    (tmp_path / "badmagic.fsch").write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ValueError, match="magic"):
-        channel.load_dataset(tmp_path / "badmagic.fsch")
-    (tmp_path / "short.fsch").write_bytes(raw[:-3])
-    with pytest.raises(ValueError, match="truncated"):
-        channel.load_dataset(tmp_path / "short.fsch")
-
-
 def test_gain_scale_sets_channel_power():
     cfg = small_cfg(gain_scale=3.0)
     rng = derive_rng(14, "gain")
     power = np.mean([
-        np.mean(np.abs(channel.synthesize_channel(cfg, rng)) ** 2) for _ in range(500)
+        np.mean(np.abs(synthesize(cfg, rng)) ** 2) for _ in range(500)
     ])
     assert abs(power - 9.0) < 0.9
     with pytest.raises(ValueError):

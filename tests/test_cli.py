@@ -1,6 +1,9 @@
+import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ from fedcsi.cli import ConfigError, parse_config
 TINY = {
     "n_sbs": 3,
     "rounds": 1,
-    "mu_count": 20,
     "cache_len_lo": 6,
     "cache_len_hi": 8,
     "i_min": 4,
@@ -63,6 +65,9 @@ def test_unknown_key_is_named(tmp_path):
     path.write_text(json.dumps({"channel": {"grid_heigth": 12}}))
     with pytest.raises(ConfigError, match="grid_heigth"):
         parse_config(path)
+    path.write_text(json.dumps({"mu_count": 1000}))  # a key of earlier versions
+    with pytest.raises(ConfigError, match="mu_count"):
+        parse_config(path)
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -97,22 +102,83 @@ def test_invariant_violations_are_named(tmp_path):
     ({"network": {"layers": [[3, 3.5, 2, "selu"]]}}, "network layer size"),
     ({"channel": {"path_count": True}}, "path_count"),
     ({"channel": {"max_delay_taps": 1.25}}, "max_delay_taps"),
+    # json.loads reads NaN and Infinity, and `x <= 0` checks let NaN through
+    ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"momentum": float("inf")}, "momentum"),
+    ({"channel": {**TINY["channel"], "gain_scale": float("nan")}}, "gain_scale"),
+    ({"channel": {**TINY["channel"], "doppler_spread": float("inf")}}, "doppler_spread"),
+    ({"llpf": {"k_sigma": float("nan")}}, "k_sigma"),
+    ({"aggregator": {"kind": "stomedian", "eps": float("nan")}}, "eps"),
+    ({"attack": {"mode": "outdate", "outdate_lag": float("-inf")}}, "outdate_lag"),
+    ({"learning_rate": 10 ** 400}, "learning_rate"),  # float() overflows
+    # sections once passed to the dataclasses untyped
+    ({"llpf": {"enabled": "no"}}, "llpf.enabled"),
+    ({"aggregator": {"trim_a": True}}, "trim_a"),
+    ({"aggregator": {"fedbe_samples": 2.5}}, "fedbe_samples"),
+    ({"attack": {"mode": "reverse", "ratio": "0.2"}}, "attack.ratio"),
+    ({"local_mode": 5}, "local_mode"),
+    ({"network": {**TINY["network"], "layers": [[3, 3, 2, 7]]}}, "activation"),
+    # malformed sections
+    ({"channel": 5}, "channel config must be an object"),
+    ({"network": {"layers": [5]}}, "network layer 5"),
+    ({"attack": {"ratio": 0.2}}, "attack config needs 'mode'"),
 ])
 def test_lossy_field_types_rejected(tmp_path, extra, name):
     # int() and bool() would silently turn these into other values
     path = write_tiny_config(tmp_path, **extra)
     with pytest.raises(ConfigError, match=name):
         parse_config(path)
+    with pytest.raises(ConfigError, match=name):
+        cli.config_from_dict({**TINY, **extra})
 
 
 def test_exact_field_types_accepted(tmp_path):
     path = write_tiny_config(tmp_path, epochs=2.0, persist_caches=True, learning_rate=1,
-                             channel={**TINY["channel"], "doppler_spread": 0})
+                             channel={**TINY["channel"], "doppler_spread": 0},
+                             aggregator={"fedbe_samples": 3.0, "fedbe_distill_lr": 1},
+                             attack=None, pretrain_epochs=None)
     cfg = parse_config(path)
     assert cfg.epochs == 2 and type(cfg.epochs) is int
     assert cfg.persist_caches is True
     assert cfg.learning_rate == 1.0 and type(cfg.learning_rate) is float
     assert type(cfg.channel.doppler_spread) is float
+    assert cfg.aggregator.fedbe_samples == 3 and type(cfg.aggregator.fedbe_samples) is int
+    assert cfg.aggregator.fedbe_distill_lr == 1.0
+    assert type(cfg.aggregator.fedbe_distill_lr) is float
+    assert cfg.attack is None and cfg.pretrain_epochs is None
+
+
+def test_collusion_payload_checked_before_any_work(tmp_path):
+    path = write_tiny_config(
+        tmp_path, attack={"mode": "collusion", "ratio": 0.25, "collusion_payload": [[1.0, 2.0]]}
+    )
+    with pytest.raises(ConfigError, match=r"collusion_payload shape \(1, 2\)"):
+        parse_config(path)
+    assert cli.run(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    payload = np.full((12, 8, 2), 0.5)
+    attack = {"mode": "collusion", "ratio": 0.25, "collusion_payload": payload.tolist()}
+    cfg = parse_config(write_tiny_config(tmp_path, attack=attack))
+    assert np.array_equal(cfg.attack.collusion_payload, payload)
+    # JSON NaN stops at the parser; a library caller reaches validate
+    payload[0, 0, 0] = np.nan
+    bad = dataclasses.replace(
+        cfg, attack=dataclasses.replace(cfg.attack, collusion_payload=payload))
+    with pytest.raises(ValueError, match="collusion_payload must be finite"):
+        bad.validate()
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    path = tmp_path / "example.json"
+    path.write_text(example)
+    cfg = parse_config(path)
+    assert cfg.n_sbs == 10 and cfg.rounds == 20
+    assert cfg.aggregator.kind == "stomedian"
+    attack = (cfg.attack.mode, cfg.attack.deployment, cfg.attack.ratio)
+    assert attack == ("reverse", "widespread", 0.2)
+    assert cfg.llpf.enabled is True
 
 
 def test_roundtrip_of_nested_sections(tmp_path):

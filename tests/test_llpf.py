@@ -191,10 +191,3 @@ def test_filter_mu_sum_mode_differs():
     # mu = 109: every individual loss sits far below it, nothing is flagged
     out = llpf.filter_cache(spec, params, cache, cfg, derive_rng(6, "sum"))
     assert out is cache
-
-
-def test_cdf_fit_gap_diagnostic_in_unit_interval():
-    rng = np.random.default_rng(7)
-    losses = rng.gamma(2.0, 0.5, size=300)
-    gap = llpf.cdf_fit_gap(losses, LlpfConfig())
-    assert 0.0 <= gap <= 1.0

@@ -11,12 +11,6 @@ def tiny_spec(h=6, w=5, c_in=2):
     )
 
 
-class Sample:
-    def __init__(self, x, y):
-        self.input = x
-        self.label = y
-
-
 # --------------------------- init_params ----------------------------------
 
 def test_init_params_deterministic():
@@ -230,8 +224,8 @@ def test_backward_zero_residual_zero_grad():
 def test_backward_empty_batch_error():
     spec = tiny_spec()
     p = nn.init_params(spec, 5)
-    with pytest.raises(ValueError):
-        nn.backward(spec, p, [])
+    with pytest.raises(ValueError, match="empty batch"):
+        nn.batch_gradient(spec, p, np.zeros((0,) + spec.input_shape), np.zeros((0, 6, 5, 2)))
 
 
 def finite_difference_grad(spec, params, xs, ys, h=1e-5):
@@ -311,21 +305,6 @@ def test_gradient_scales_with_residual_doubling():
     assert np.allclose(g2, 2.0 * g1, rtol=1e-12)
 
 
-def test_backward_accepts_sample_batches():
-    spec = tiny_spec()
-    p = nn.init_params(spec, 8)
-    rng = np.random.default_rng(8)
-    batch = [
-        Sample(rng.normal(size=spec.input_shape), rng.normal(size=(6, 5, 2)))
-        for _ in range(3)
-    ]
-    g = nn.backward(spec, p, batch)
-    inputs = np.stack([s.input for s in batch])
-    targets = np.stack([s.label for s in batch])
-    g2, _ = nn.batch_gradient(spec, p, inputs, targets)
-    assert np.array_equal(g.data, g2)
-
-
 @pytest.mark.parametrize("kh, kw", [(5, 5), (4, 2), (6, 3)])
 def test_samples_do_not_mix_in_the_batch(kh, kw):
     # samples share one flat padded buffer; padded rows are all that keeps
@@ -402,10 +381,10 @@ def test_adam_against_scalar_reference_and_converges():
 def test_flatten_roundtrip():
     spec = tiny_spec()
     p = nn.init_params(spec, 21)
-    flat = nn.flatten_params(p)
-    assert flat.size == nn.param_count(spec)
-    q = nn.unflatten_params(flat, spec)
+    assert p.data.size == nn.param_count(spec)
+    q = nn.unflatten_params(p.data, spec)
     assert np.array_equal(p.data, q.data)
+    assert q.data is not p.data
     assert p.layout == q.layout
 
 
@@ -425,11 +404,11 @@ def test_train_minibatch_learns_and_is_deterministic():
     ys = nn.forward_batch(spec, target_params, xs)
     p0 = nn.init_params(spec, 35)
     before = nn.mse_loss(nn.forward_batch(spec, p0, xs), ys)
-    trained, losses = nn.train_minibatch(
+    trained = nn.train_minibatch(
         spec, p0, xs, ys, epochs=30, batch_size=8, learning_rate=0.01,
-        rng=np.random.default_rng(36), track_losses=True,
+        rng=np.random.default_rng(36),
     )
-    assert losses[-1] < 0.2 * before
+    assert nn.mse_loss(nn.forward_batch(spec, trained, xs), ys) < 0.2 * before
     trained2 = nn.train_minibatch(
         spec, p0, xs, ys, epochs=30, batch_size=8, learning_rate=0.01,
         rng=np.random.default_rng(36),

@@ -116,10 +116,14 @@ def test_local_training_loss_mostly_non_increasing():
     params, pre, _ = pretrain(cfg)
     inputs = np.stack([s.input for s in pre])
     labels = np.stack([s.label for s in pre])
-    _, losses = nn.train_minibatch(
-        cfg.network, params, inputs, labels, epochs=20, batch_size=8,
-        learning_rate=0.001, rng=np.random.default_rng(3), track_losses=True,
-    )
+    # the loss after k epochs: the same seed replays the first k epochs exactly
+    losses = []
+    for k in range(1, 21):
+        trained = nn.train_minibatch(
+            cfg.network, params, inputs, labels, epochs=k, batch_size=8,
+            learning_rate=0.001, rng=np.random.default_rng(3),
+        )
+        losses.append(nn.mse_loss(nn.forward_batch(cfg.network, trained, inputs), labels))
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a)
     assert drops >= 0.9 * (len(losses) - 1)
 
@@ -222,7 +226,6 @@ def test_collusion_payload_frozen_across_rounds():
         round_index=0, global_params=params, pretrain_set=pre,
         validation_set=val, attack_plan=cfg.attack,
         next_uid=cfg.pretrain_size + cfg.validation_size,
-        next_mu_id=cfg.pretrain_size + cfg.validation_size,
     )
     state, _ = run_round(state, cfg)
     frozen = state.attack_plan.collusion_payload
@@ -265,7 +268,6 @@ def test_llpf_sees_poisoned_caches_and_training_uses_filtered(monkeypatch):
         round_index=0, global_params=params, pretrain_set=pre,
         validation_set=val, attack_plan=cfg.attack,
         next_uid=cfg.pretrain_size + cfg.validation_size,
-        next_mu_id=cfg.pretrain_size + cfg.validation_size,
     )
     state, record = run_round(state, cfg)
     # the filter ran downstream of poisoning: it saw poisoned samples
@@ -282,7 +284,6 @@ def test_exclusion_shrinks_caches_before_topup():
         round_index=0, global_params=params, pretrain_set=pre,
         validation_set=val, attack_plan=None,
         next_uid=cfg.pretrain_size + cfg.validation_size,
-        next_mu_id=cfg.pretrain_size + cfg.validation_size,
     )
     state, _ = run_round(state, cfg)
     for cache in state.caches:
@@ -295,7 +296,7 @@ def test_validation_leak_detected():
     params, pre, val = pretrain(cfg)
     state = FederationState(
         round_index=0, global_params=params, pretrain_set=pre,
-        validation_set=val, attack_plan=None, next_uid=0, next_mu_id=0,
+        validation_set=val, attack_plan=None, next_uid=0,
     )
     leaky = channel.CachedDataset(samples=[val[0]], sbs_id=0, round_index=1)
     with pytest.raises(RuntimeError, match="leaked"):
@@ -309,7 +310,6 @@ def test_non_finite_aggregate_aborts_with_diagnostic(monkeypatch):
         round_index=0, global_params=params, pretrain_set=pre,
         validation_set=val, attack_plan=None,
         next_uid=cfg.pretrain_size + cfg.validation_size,
-        next_mu_id=cfg.pretrain_size + cfg.validation_size,
     )
 
     def bad_aggregate(updates, aggregator, **kw):
@@ -340,7 +340,6 @@ def test_persist_caches_reuses_round_one_data():
         round_index=0, global_params=params, pretrain_set=pre,
         validation_set=val, attack_plan=None,
         next_uid=cfg.pretrain_size + cfg.validation_size,
-        next_mu_id=cfg.pretrain_size + cfg.validation_size,
     )
     state, _ = run_round(state, cfg)
     first = state.caches
