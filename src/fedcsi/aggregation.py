@@ -47,11 +47,16 @@ class Aggregator:
                 raise ValueError("trim_a must be >= 0")
             if n_updates is not None and 2 * self.trim_a >= n_updates:
                 raise ValueError(f"trim_a={self.trim_a} needs more than {2 * self.trim_a} updates")
-        if self.kind == "fedbe" and self.fedbe_samples < 1:
-            raise ValueError("fedbe_samples must be >= 1")
+        if self.kind == "fedbe":
+            if self.fedbe_samples < 1:
+                raise ValueError("fedbe_samples must be >= 1")
+            lr = self.fedbe_distill_lr
+            # chained comparisons, so that NaN (which fails every comparison) is rejected
+            if lr is not None and not 0.0 < lr < math.inf:
+                raise ValueError("fedbe_distill_lr must be finite and > 0")
         if self.kind == "stomedian":
-            if self.eps <= 0:
-                raise ValueError("stomedian eps must be > 0")
+            if not 0.0 < self.eps < math.inf:
+                raise ValueError("stomedian eps must be finite and > 0")
             if self.stomedian_std not in ("population", "sample"):
                 raise ValueError(f"unknown stomedian_std {self.stomedian_std!r}")
 

@@ -40,6 +40,8 @@ class AttackPlan:
                 raise ValueError("targeted deployment needs target_sbs")
             if n_sbs is not None and not 0 <= self.target_sbs < n_sbs:
                 raise ValueError(f"target_sbs {self.target_sbs} out of range for N={n_sbs}")
+        if not np.isfinite(self.outdate_lag):
+            raise ValueError("outdate_lag must be finite")
         if self.outdate_pool_depth < 1:
             raise ValueError("outdate_pool_depth must be >= 1")
 

@@ -8,6 +8,7 @@ Complex grids are carried as two real channels (real, imaginary).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,8 +31,9 @@ class ChannelConfig:
     gain_scale: float = 1.0
 
     def validate(self) -> None:
-        if self.gain_scale <= 0:
-            raise ValueError("gain_scale must be > 0")
+        # chained comparisons, so that NaN (which fails every comparison) is rejected
+        if not 0.0 < self.gain_scale < np.inf:
+            raise ValueError("gain_scale must be finite and > 0")
         if self.grid_height < self.pilot_rows_stride or self.grid_width < self.pilot_cols_stride:
             raise ValueError("grid dimensions must be >= pilot strides")
         if self.pilot_rows_stride < 1 or self.pilot_cols_stride < 1:
@@ -40,8 +42,8 @@ class ChannelConfig:
             raise ValueError("path_count must be >= 1")
         if self.max_delay_taps < 0:
             raise ValueError("max_delay_taps must be >= 0")
-        if self.pilot_noise_stddev < 0 or self.doppler_spread < 0:
-            raise ValueError("noise stddev and doppler spread must be >= 0")
+        if not (0.0 <= self.pilot_noise_stddev < np.inf and 0.0 <= self.doppler_spread < np.inf):
+            raise ValueError("noise stddev and doppler spread must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -122,12 +124,18 @@ def _interp_matrix(n_out: int, knots: np.ndarray) -> np.ndarray:
     return mat
 
 
-def interpolate_pilots(
-    cfg: ChannelConfig, observed: np.ndarray, pilot_rows: np.ndarray, pilot_cols: np.ndarray
-) -> np.ndarray:
-    row_op = _interp_matrix(cfg.grid_height, pilot_rows)
-    col_op = _interp_matrix(cfg.grid_width, pilot_cols)
-    return row_op @ observed @ col_op.T
+@functools.lru_cache(maxsize=8)
+def _pilot_layout(
+    height: int, width: int, row_stride: int, col_stride: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pilot rows and columns of the grid, and the interpolation operators
+    that spread them over it.  Shared by every sample, so read-only."""
+    rows = np.arange(0, height, row_stride)
+    cols = np.arange(0, width, col_stride)
+    layout = (rows, cols, _interp_matrix(height, rows), _interp_matrix(width, cols))
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def make_sample(
@@ -139,15 +147,15 @@ def make_sample(
     cfg.validate()
     fading = draw_fading(cfg, rng)
     grid = channel_grid(fading, cfg.grid_height, cfg.grid_width)
-    pilot_rows = np.arange(0, cfg.grid_height, cfg.pilot_rows_stride)
-    pilot_cols = np.arange(0, cfg.grid_width, cfg.pilot_cols_stride)
+    pilot_rows, pilot_cols, row_op, col_op = _pilot_layout(
+        cfg.grid_height, cfg.grid_width, cfg.pilot_rows_stride, cfg.pilot_cols_stride)
     # complex pilot noise CN(0, sigma^2): each real component N(0, sigma^2/2)
     noise = rng.normal(
         scale=cfg.pilot_noise_stddev / np.sqrt(2.0),
         size=(len(pilot_rows), len(pilot_cols), 2),
     )
     observed = grid[np.ix_(pilot_rows, pilot_cols)] + noise[..., 0] + 1j * noise[..., 1]
-    estimate = interpolate_pilots(cfg, observed, pilot_rows, pilot_cols)
+    estimate = row_op @ observed @ col_op.T
     return ChannelSample(
         input=split_complex(estimate),
         label=split_complex(grid),

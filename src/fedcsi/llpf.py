@@ -30,8 +30,8 @@ class LlpfConfig:
     def validate(self) -> None:
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta {self.theta} outside (0, 1)")
-        if self.k_sigma <= 0.0:
-            raise ValueError(f"k_sigma {self.k_sigma} must be > 0")
+        if not 0.0 < self.k_sigma < math.inf:
+            raise ValueError(f"k_sigma {self.k_sigma} must be finite and > 0")
         if self.mu_mode not in ("median", "sum"):
             raise ValueError(f"unknown mu_mode {self.mu_mode!r}")
 

@@ -7,6 +7,9 @@ end to end and the network maps an H x W x C_in grid to H x W x C_out.
 """
 from __future__ import annotations
 
+import ctypes
+import platform
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -18,6 +21,29 @@ SELU_ALPHA = 1.6732632423543772
 SOFTPLUS_CUTOFF = 30.0  # softplus(x) ~ x above this; avoids exp overflow
 _BLOCK_MACS = 1 << 19  # multiply-adds per matrix product in the conv plumbing
 ACTIVATIONS = ("selu", "softplus")
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+
+def _keep_freed_pages_mapped() -> None:
+    """Keep the engine's freed temporaries mapped for the next step (glibc).
+
+    glibc's default, self-adjusting mmap and trim thresholds handed the
+    MB-sized temporaries of each step back to the kernel, and the next step
+    faulted them in again (about 116,000 minor faults per FedBE desk
+    experiment).  Fixed thresholds keep them in the heap.  Setting either
+    threshold switches off the adjustment of both, so both are set.  No
+    computed value changes.
+    """
+    if sys.platform != "linux" or platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_keep_freed_pages_mapped()
 
 
 @dataclass(frozen=True)
@@ -207,8 +233,9 @@ _ACT = {"selu": (selu, selu_grad), "softplus": (softplus, softplus_grad)}
 #
 # Backward, the input gradient is this same correlation: dz, padded for the
 # flipped kernel, with the flipped and transposed kernel.  The kernel
-# gradient unfolds the input where the forward does, and otherwise takes
-# one product per offset.  Layer 0 needs no input gradient.
+# gradient reuses the forward's unfolded input where the forward unfolds
+# the whole kernel, and otherwise takes one product per offset.  Layer 0
+# needs no input gradient.
 
 def _pad(x: np.ndarray, kh: int, kw: int, flipped: bool = False) -> np.ndarray:
     """x zero-padded for a same correlation with a kh x kw kernel, or with
@@ -278,16 +305,21 @@ def _inner_products(operands: list, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _correlate(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _correlate(
+    xp: np.ndarray, kernel: np.ndarray, cols: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Valid correlation of the padded batch with `kernel` (kh, kw, C_in,
-    C_out): shape (A, Hp - kh + 1, Wp - kw + 1, C_out), possibly a view."""
+    C_out): shape (A, Hp - kh + 1, Wp - kw + 1, C_out), possibly a view.
+    Where the plan is "whole", `cols` may hold `_unfold(xp, kh, kw)`."""
     a, hp, wp, c_in = xp.shape
     kh, kw, _, c_out = kernel.shape
     h, w = hp - kh + 1, wp - kw + 1
     plan = _plan(kw, c_in, c_out)
     if plan == "whole":
+        if cols is None:
+            cols = _unfold(xp, kh, kw)
         out = np.empty((a * h * w, c_out))
-        return _sum_of_products([(_unfold(xp, kh, kw), kernel.reshape(-1, c_out))],
+        return _sum_of_products([(cols, kernel.reshape(-1, c_out))],
                                 out).reshape(a, h, w, c_out)
     rows = a * hp * wp
     m = rows - (kh - 1) * wp - (kw - 1)  # rows up to the last valid cell
@@ -306,31 +338,38 @@ def _correlate(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def _conv_forward(
     x: np.ndarray, kernel: np.ndarray, bias: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padded conv of x plus bias; returns (z, padded x)."""
-    xp = _pad(x, *kernel.shape[:2])
-    return _correlate(xp, kernel) + bias, xp
+    """Same-padded conv of x plus bias.  Returns z and the input operand of
+    `_kernel_gradient`: x unfolded where the plan is "whole", else padded x."""
+    kh, kw, c_in, c_out = kernel.shape
+    xp = _pad(x, kh, kw)
+    if _plan(kw, c_in, c_out) != "whole":
+        return _correlate(xp, kernel) + bias, xp
+    cols = _unfold(xp, kh, kw)
+    return _correlate(xp, kernel, cols) + bias, cols
 
 
-def _kernel_gradient(xp: np.ndarray, dz: np.ndarray, dzp: Optional[np.ndarray]) -> np.ndarray:
-    """dL/dkernel: the correlation of the padded input xp with dz.
+def _kernel_gradient(
+    saved: np.ndarray, dz: np.ndarray, dzp: Optional[np.ndarray], kshape: tuple
+) -> np.ndarray:
+    """dL/dkernel (shape `kshape`): the correlation of the padded input with dz.
 
-    Where the forward product unfolds the whole kernel, so does this one.
-    Otherwise it takes one product per offset, on views of xp and of dzp,
-    dz padded for the flipped kernel (unused in the first case): dzp's rows
-    from (kh // 2)*Wp + kw // 2 on hold dz at the top left of xp's grid.
+    Where the forward product unfolds the whole kernel, `saved` is that
+    unfolded input and this is one product with dz.  Otherwise `saved` is
+    the padded input xp, and this takes one product per offset, on views
+    of xp and of dzp, dz padded for the flipped kernel (unused in the first
+    case): dzp's rows from (kh // 2)*Wp + kw // 2 on hold dz at the top left
+    of xp's grid.
     """
-    a, hp, wp, c_in = xp.shape
-    _, h, w, c_out = dz.shape
-    kh, kw = hp - h + 1, wp - w + 1
+    kh, kw, c_in, c_out = kshape
     if _plan(kw, c_in, c_out) == "whole":
-        return _inner_products([_unfold(xp, kh, kw)], dz.reshape(-1, c_out)).reshape(
-            kh, kw, c_in, c_out)
+        return _inner_products([saved], dz.reshape(-1, c_out)).reshape(kshape)
+    a, hp, wp, _ = saved.shape
     rows = a * hp * wp
     m = rows - (kh - 1) * wp - (kw - 1)
     shift = (kh // 2) * wp + kw // 2
-    x, d = xp.reshape(rows, c_in), dzp.reshape(rows, c_out)[shift:shift + m]
+    x, d = saved.reshape(rows, c_in), dzp.reshape(rows, c_out)[shift:shift + m]
     views = [x[di * wp + dj:di * wp + dj + m] for di in range(kh) for dj in range(kw)]
-    return _inner_products(views, d).reshape(kh, kw, c_in, c_out)
+    return _inner_products(views, d).reshape(kshape)
 
 
 # --------------------------- public ops ----------------------------------
@@ -344,7 +383,8 @@ def forward_batch(spec: NetworkSpec, params: ParamVector, xs: np.ndarray) -> np.
     _check_input(spec, xs)
     act = np.asarray(xs, dtype=np.float64)
     for i, layer in enumerate(spec.layers):
-        z, _ = _conv_forward(act, params.kernel(i), params.bias(i))
+        kernel = params.kernel(i)
+        z = _correlate(_pad(act, *kernel.shape[:2]), kernel) + params.bias(i)
         act = _ACT[layer.activation][0](z)
     return act
 
@@ -373,30 +413,38 @@ def batch_gradient(
         raise ValueError(f"inputs {inputs.shape} inconsistent with targets {targets.shape}")
     _check_input(spec, inputs)
     act = np.asarray(inputs, dtype=np.float64)
-    padded, zs = [], []
+    saved, zs = [], []
     for i, layer in enumerate(spec.layers):
-        z, xp = _conv_forward(act, params.kernel(i), params.bias(i))
-        padded.append(xp)
+        z, operand = _conv_forward(act, params.kernel(i), params.bias(i))
+        saved.append(operand)
         zs.append(z)
         act = _ACT[layer.activation][0](z)
     if act.shape != targets.shape:
         raise ValueError(f"targets shape {targets.shape} != output {act.shape}")
-    diff = act - targets
+    # the output is this step's own buffer; it becomes diff and then da
+    diff = act
+    diff -= targets
     loss = float(np.mean(diff * diff))
     grad = np.zeros_like(params.data)
     gview = ParamVector(grad, params.layout)
     # batch-mean of per-sample mean MSE: every element carries 1/(A*H*W*C)
-    da = (2.0 / diff.size) * diff
+    da = diff
+    da *= 2.0 / da.size
+    del act, diff
     for i in range(len(spec.layers) - 1, -1, -1):
         kernel = params.kernel(i)
         kh, kw, c_in, c_out = kernel.shape
-        # popped, so that each layer's buffers are freed once it is done
+        # popped and deleted, so that each buffer is freed once it is done
+        # with: the input gradient's products, which need only dzp, hold the
+        # step's peak while the layer-0 unfold is still kept
         dz = _ACT[spec.layers[i].activation][1](zs.pop())
         dz *= da
+        del da
         # layer 0 needs no input gradient, nor dzp when it unfolds whole
         dzp = _pad(dz, kh, kw, flipped=True) if i or _plan(kw, c_in, c_out) != "whole" else None
-        gview.kernel(i)[...] = _kernel_gradient(padded.pop(), dz, dzp)
+        gview.kernel(i)[...] = _kernel_gradient(saved.pop(), dz, dzp, kernel.shape)
         gview.bias(i)[...] = dz.sum(axis=(0, 1, 2))
+        del dz
         if i:
             da = _correlate(dzp, np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2)))
     return grad, loss

@@ -55,8 +55,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.cache_len_lo > self.cache_len_hi:
             raise ValueError("cache_len_lo must be <= cache_len_hi")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        # chained comparisons, so that NaN (which fails every comparison) is rejected
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum (Adam beta1) must be in [0, 1)")
         if not 0.0 <= self.exclude_fraction < 1.0:
             raise ValueError("exclude_fraction must be in [0, 1)")
         if self.local_mode not in ("epochs_adam", "steps_sgd"):

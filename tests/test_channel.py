@@ -72,6 +72,17 @@ def test_noiseless_dense_pilots_input_equals_label():
     assert s.provenance == "authentic"
 
 
+def test_pilot_layout_is_shared_read_only_and_keyed_by_shape():
+    coarse, fine = small_cfg(), small_cfg(pilot_rows_stride=3, pilot_cols_stride=1)
+    first = channel.make_sample(coarse, derive_rng(2, "layout"))
+    channel.make_sample(fine, derive_rng(2, "layout"))
+    again = channel.make_sample(coarse, derive_rng(2, "layout"))
+    assert np.array_equal(first.input, again.input)
+    layout = channel._pilot_layout(12, 8, 2, 2)
+    assert layout is channel._pilot_layout(12, 8, 2, 2)
+    assert not any(array.flags.writeable for array in layout)
+
+
 def test_sample_mse_within_noise_budget():
     # noisy strided pilots: reconstruction error positive but bounded by 3 sigma^2;
     # the grid is tall enough that stride-2 interpolation error stays small

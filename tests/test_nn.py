@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -453,3 +459,43 @@ def test_train_minibatch_max_steps_sgd():
         if steps >= 4:
             break
     assert np.allclose(out.data, flat, rtol=0, atol=0)
+
+
+# --------------------------- allocator policy -----------------------------
+
+_FAULT_PROBE = """
+import resource
+from fedcsi import nn
+from fedcsi.aggregation import Aggregator
+from fedcsi.channel import ChannelConfig
+from fedcsi.orchestrator import ExperimentConfig, run_experiment
+
+layers = tuple(nn.LayerSpec(3, 3, f, a) for f, a in zip((10, 6, 2), ("selu", "softplus", "selu")))
+config = ExperimentConfig(
+    n_sbs=5, rounds=1, cache_len_lo=6, cache_len_hi=8, i_min=8, pretrain_size=24,
+    validation_size=8, pretrain_epochs=2, epochs=1, batch_size=64, learning_rate=2e-3,
+    network=nn.NetworkSpec(layers=layers, input_shape=(36, 10, 2)),
+    channel=ChannelConfig(grid_height=36, grid_width=10, max_delay_taps=1,
+                          doppler_spread=0.02, pilot_noise_stddev=0.15),
+    aggregator=Aggregator(kind="fedbe", fedbe_samples=10, fedbe_distill_epochs=7),
+)
+run_experiment(config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy applies to glibc only")
+def test_repeat_run_reuses_freed_pages():
+    # With glibc's default thresholds the engine's MB-sized temporaries went
+    # back to the kernel after each call and were faulted in again by the
+    # next: about 14,000 minor faults in the second run, against fewer than
+    # ten with the thresholds fixed when fedcsi.nn is imported.
+    paths = [str(Path(nn.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert int(done.stdout.split()[-1]) < 1000

@@ -45,6 +45,35 @@ def test_config_rejects_bad_values():
         desk_config(network=small_network(12, 8, filters=(4, 3))).validate()
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(learning_rate=_NAN), id="learning_rate-nan"),
+    pytest.param(dict(learning_rate=_INF), id="learning_rate-inf"),
+    pytest.param(dict(momentum=_NAN), id="momentum-nan"),
+    pytest.param(dict(llpf=LlpfConfig(k_sigma=_NAN)), id="llpf.k_sigma-nan"),
+    pytest.param(dict(channel=channel.ChannelConfig(grid_height=12, grid_width=8, gain_scale=_NAN)),
+                 id="channel.gain_scale-nan"),
+    pytest.param(dict(channel=channel.ChannelConfig(grid_height=12, grid_width=8, gain_scale=_INF)),
+                 id="channel.gain_scale-inf"),
+    pytest.param(dict(channel=channel.ChannelConfig(grid_height=12, grid_width=8,
+                                                    pilot_noise_stddev=_NAN)),
+                 id="channel.pilot_noise_stddev-nan"),
+    pytest.param(dict(aggregator=aggregation.Aggregator(kind="stomedian", eps=_NAN)),
+                 id="aggregator.eps-nan"),
+    pytest.param(dict(aggregator=aggregation.Aggregator(kind="fedbe", fedbe_distill_lr=_NAN)),
+                 id="aggregator.fedbe_distill_lr-nan"),
+    pytest.param(dict(attack=AttackPlan(mode="outdate", outdate_lag=_NAN)),
+                 id="attack.outdate_lag-nan"),
+])
+def test_config_rejects_non_finite_values_from_library_callers(overrides):
+    # the JSON parser rejects NaN and Infinity itself; dataclasses built in
+    # code reach only validate, where NaN fails every comparison
+    with pytest.raises(ValueError):
+        desk_config(**overrides).validate()
+
+
 # --------------------------- pretrain ---------------------------------------
 
 def test_pretrain_shapes_and_improvement():
