@@ -50,6 +50,8 @@ class Aggregator:
         if self.kind == "fedbe":
             if self.fedbe_samples < 1:
                 raise ValueError("fedbe_samples must be >= 1")
+            if self.fedbe_distill_epochs < 0:
+                raise ValueError("fedbe_distill_epochs must be >= 0")
             lr = self.fedbe_distill_lr
             # chained comparisons, so that NaN (which fails every comparison) is rejected
             if lr is not None and not 0.0 < lr < math.inf:

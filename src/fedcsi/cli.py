@@ -377,6 +377,17 @@ def _cmd_baselines(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedcsi",
@@ -399,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--deployments", default=None)
     sweep_p.add_argument("--ratios", default=None)
     sweep_p.add_argument("--seeds", default=None)
-    sweep_p.add_argument("--jobs", type=int, default=1)
+    sweep_p.add_argument("--jobs", type=_positive_int, default=1,
+                         help="worker processes (default 1: serial)")
     sweep_p.set_defaults(func=_cmd_sweep)
 
     plot_p = sub.add_parser("plot", help="render CSV metrics to SVG charts")

@@ -20,6 +20,7 @@ SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 SOFTPLUS_CUTOFF = 30.0  # softplus(x) ~ x above this; avoids exp overflow
 _BLOCK_MACS = 1 << 19  # multiply-adds per matrix product in the conv plumbing
+_CHUNK_BYTES = 3 << 18  # widest-layer activation bytes per forward/gradient pass
 ACTIVATIONS = ("selu", "softplus")
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 
@@ -379,14 +380,33 @@ def _check_input(spec: NetworkSpec, x: np.ndarray) -> None:
         raise ValueError(f"input shape {x.shape[-3:]} != spec {spec.input_shape}")
 
 
+def _chunk_size(spec: NetworkSpec) -> int:
+    """Samples per pass of `forward_batch` and `batch_gradient`.
+
+    As many samples as fit _CHUNK_BYTES of the widest layer's activations,
+    and at least one.  A pass's buffers are a few times that activation,
+    so a batch of any size runs in a bounded working set.
+    """
+    h, w, c_in = spec.input_shape
+    widest = max(c_in, *(layer.filters for layer in spec.layers))
+    return max(1, _CHUNK_BYTES // (8 * h * w * widest))
+
+
 def forward_batch(spec: NetworkSpec, params: ParamVector, xs: np.ndarray) -> np.ndarray:
+    """Outputs of a batch, computed in chunks of `_chunk_size` samples; each
+    sample's output is the same bit for bit however the batch is chunked."""
     _check_input(spec, xs)
-    act = np.asarray(xs, dtype=np.float64)
-    for i, layer in enumerate(spec.layers):
-        kernel = params.kernel(i)
-        z = _correlate(_pad(act, *kernel.shape[:2]), kernel) + params.bias(i)
-        act = _ACT[layer.activation][0](z)
-    return act
+    xs = np.asarray(xs, dtype=np.float64)
+    out = np.empty(xs.shape[:3] + (spec.layers[-1].filters,))
+    step = _chunk_size(spec)
+    for start in range(0, len(xs), step):
+        act = xs[start:start + step]
+        for i, layer in enumerate(spec.layers):
+            kernel = params.kernel(i)
+            z = _correlate(_pad(act, *kernel.shape[:2]), kernel) + params.bias(i)
+            act = _ACT[layer.activation][0](z)
+        out[start:start + step] = act
+    return out
 
 
 def forward(spec: NetworkSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -406,48 +426,66 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
 def batch_gradient(
     spec: NetworkSpec, params: ParamVector, inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Gradient of the batch-mean MSE w.r.t. the flat params, plus the loss."""
+    """Gradient of the batch-mean MSE w.r.t. the flat params, plus the loss.
+
+    The batch runs in chunks of `_chunk_size` samples, whose kernel and bias
+    gradients add up in chunk order.
+    """
     if inputs.shape[0] == 0:
         raise ValueError("empty batch")
-    if inputs.shape[:3] != targets.shape[:3]:
-        raise ValueError(f"inputs {inputs.shape} inconsistent with targets {targets.shape}")
     _check_input(spec, inputs)
-    act = np.asarray(inputs, dtype=np.float64)
+    output = inputs.shape[:3] + (spec.layers[-1].filters,)
+    if targets.shape != output:
+        raise ValueError(f"targets shape {targets.shape} != output {output}")
+    inputs = np.asarray(inputs, dtype=np.float64)
+    grad = ParamVector(np.zeros_like(params.data), params.layout)
+    # batch-mean of per-sample mean MSE: every element carries 1/(A*H*W*C)
+    scale = 2.0 / targets.size
+    sse = 0.0
+    step = _chunk_size(spec)
+    for start in range(0, len(inputs), step):
+        sse += _chunk_gradient(spec, params, inputs[start:start + step],
+                               targets[start:start + step], scale, grad)
+    return grad.data, sse / targets.size
+
+
+def _chunk_gradient(
+    spec: NetworkSpec, params: ParamVector, inputs: np.ndarray, targets: np.ndarray,
+    scale: float, grad: ParamVector,
+) -> float:
+    """Add `scale` times the chunk's gradient of its summed squared error to
+    `grad`; return that summed squared error."""
+    act = inputs
     saved, zs = [], []
     for i, layer in enumerate(spec.layers):
         z, operand = _conv_forward(act, params.kernel(i), params.bias(i))
         saved.append(operand)
         zs.append(z)
         act = _ACT[layer.activation][0](z)
-    if act.shape != targets.shape:
-        raise ValueError(f"targets shape {targets.shape} != output {act.shape}")
-    # the output is this step's own buffer; it becomes diff and then da
+    # the output is this chunk's own buffer; it becomes diff and then da
     diff = act
     diff -= targets
-    loss = float(np.mean(diff * diff))
-    grad = np.zeros_like(params.data)
-    gview = ParamVector(grad, params.layout)
-    # batch-mean of per-sample mean MSE: every element carries 1/(A*H*W*C)
+    sse = float(np.sum(diff * diff))
     da = diff
-    da *= 2.0 / da.size
+    da *= scale
     del act, diff
     for i in range(len(spec.layers) - 1, -1, -1):
         kernel = params.kernel(i)
         kh, kw, c_in, c_out = kernel.shape
         # popped and deleted, so that each buffer is freed once it is done
         # with: the input gradient's products, which need only dzp, hold the
-        # step's peak while the layer-0 unfold is still kept
+        # chunk's peak while the layer-0 unfold is still kept
         dz = _ACT[spec.layers[i].activation][1](zs.pop())
         dz *= da
         del da
         # layer 0 needs no input gradient, nor dzp when it unfolds whole
         dzp = _pad(dz, kh, kw, flipped=True) if i or _plan(kw, c_in, c_out) != "whole" else None
-        gview.kernel(i)[...] = _kernel_gradient(saved.pop(), dz, dzp, kernel.shape)
-        gview.bias(i)[...] = dz.sum(axis=(0, 1, 2))
+        grad.kernel(i)[...] += _kernel_gradient(saved.pop(), dz, dzp, kernel.shape)
+        grad.bias(i)[...] += dz.sum(axis=(0, 1, 2))
         del dz
         if i:
             da = _correlate(dzp, np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2)))
-    return grad, loss
+    return sse
 
 
 # --------------------------- optimizers ----------------------------------

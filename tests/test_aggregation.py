@@ -326,5 +326,7 @@ def test_aggregator_validation():
         Aggregator(kind="trimmed_mean", trim_a=3).validate(n_updates=6)
     with pytest.raises(ValueError):
         Aggregator(kind="stomedian", eps=-1.0).validate()
+    with pytest.raises(ValueError, match="fedbe_distill_epochs"):
+        Aggregator(kind="fedbe", fedbe_distill_epochs=-3).validate()
     assert Aggregator(kind="trimmed_mean", trim_a=2).describe() == "trimmed_mean(a=2)"
     assert Aggregator(kind="fedbe", fedbe_samples=7).describe() == "fedbe(S=7)"

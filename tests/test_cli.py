@@ -122,6 +122,8 @@ def test_invariant_violations_are_named(tmp_path):
     ({"channel": 5}, "channel config must be an object"),
     ({"network": {"layers": [5]}}, "network layer 5"),
     ({"attack": {"ratio": 0.2}}, "attack config needs 'mode'"),
+    # out of range: FedBE skipped distillation and returned the Gaussian mean
+    ({"aggregator": {"kind": "fedbe", "fedbe_distill_epochs": -3}}, "fedbe_distill_epochs"),
 ])
 def test_lossy_field_types_rejected(tmp_path, extra, name):
     # int() and bool() would silently turn these into other values
@@ -276,6 +278,18 @@ def test_sweep_rejects_unknown_axis_value(tmp_path):
     ])
     assert code == 1
     assert not (tmp_path / "s").exists() or not list((tmp_path / "s").iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    # these once ran the sweep serially without a word
+    path = write_tiny_config(tmp_path)
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run(["sweep", "--config", str(path), "--out", str(out), "--jobs", jobs])
+    assert exit_info.value.code != 0
+    assert "--jobs: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------- plot command ------------------------------------

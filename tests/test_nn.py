@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,53 @@ def test_samples_do_not_mix_in_the_batch(kh, kw):
     grad, _ = nn.batch_gradient(spec, p, xs, ys)
     singles = [nn.batch_gradient(spec, p, xs[i:i + 1], ys[i:i + 1])[0] for i in range(4)]
     assert np.allclose(grad, np.mean(singles, axis=0), rtol=1e-12, atol=0)
+
+
+# --------------------------- chunked batches ------------------------------
+
+def desk_spec():
+    layers = tuple(nn.LayerSpec(3, 3, f, a) for f, a in zip((10, 6, 2), ("selu", "softplus", "selu")))
+    return nn.NetworkSpec(layers=layers, input_shape=(36, 10, 2))
+
+
+@pytest.mark.parametrize("spec", [pytest.param(nn.default_network_spec(), id="default-72x14"),
+                                  pytest.param(desk_spec(), id="desk-36x10")])
+def test_batch_spanning_two_chunks_matches_single_samples(spec):
+    n = nn._chunk_size(spec) + 3
+    rng = np.random.default_rng(60)
+    p = nn.init_params(spec, 60)
+    xs = rng.normal(size=(n,) + spec.input_shape)
+    ys = rng.normal(size=(n,) + spec.input_shape[:2] + (2,))
+    out = nn.forward_batch(spec, p, xs)
+    for x, got in zip(xs, out):
+        assert np.array_equal(got, nn.forward(spec, p, x))
+    grad, loss = nn.batch_gradient(spec, p, xs, ys)
+    singles = np.array([nn.batch_gradient(spec, p, xs[i:i + 1], ys[i:i + 1])[0]
+                        for i in range(n)])
+    # rtol 1e-12 of the terms' mean magnitude: a few coordinates cancel to
+    # 1e-4 of their terms, where either summation order moves the last digits
+    assert np.all(np.abs(grad - singles.mean(axis=0)) <= 1e-12 * np.abs(singles).mean(axis=0))
+    assert loss == pytest.approx(nn.mse_loss(out, ys), rel=1e-12, abs=0)
+
+
+def test_gradient_working_set_does_not_grow_with_batch():
+    spec = nn.default_network_spec()
+    chunk = nn._chunk_size(spec)
+    assert chunk < 64
+    rng = np.random.default_rng(61)
+    p = nn.init_params(spec, 61)
+    xs = rng.normal(size=(64,) + spec.input_shape)
+    ys = rng.normal(size=(64,) + spec.input_shape[:2] + (2,))
+
+    def peak_bytes(batch):
+        tracemalloc.start()
+        try:
+            nn.batch_gradient(spec, p, xs[:batch], ys[:batch])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(64) <= 2 * peak_bytes(chunk)
 
 
 # --------------------------- optimizers -----------------------------------
