@@ -35,17 +35,15 @@ from .nn import (
     LayerSpec,
     NetworkSpec,
     OptimizerState,
-    ParamVector,
     default_network_spec,
     forward,
     forward_batch,
     init_optimizer,
     init_params,
+    layer_params,
     mse_loss,
     optimizer_step,
     param_count,
-    param_layout,
-    unflatten_params,
 )
 from .orchestrator import (
     ExperimentConfig,

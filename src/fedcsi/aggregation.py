@@ -37,7 +37,6 @@ class Aggregator:
     fedbe_distill_epochs: int = 20
     fedbe_distill_lr: Optional[float] = None  # None: the experiment's rate
     eps: float = 1e-8                # stomedian: log offset / sigma floor
-    stomedian_std: str = "population"  # "population" | "sample"
 
     def validate(self, n_updates: Optional[int] = None) -> None:
         if self.kind not in AGGREGATOR_KINDS:
@@ -59,8 +58,6 @@ class Aggregator:
         if self.kind == "stomedian":
             if not 0.0 < self.eps < math.inf:
                 raise ValueError("stomedian eps must be finite and > 0")
-            if self.stomedian_std not in ("population", "sample"):
-                raise ValueError(f"unknown stomedian_std {self.stomedian_std!r}")
 
     def describe(self) -> str:
         if self.kind == "trimmed_mean":
@@ -121,22 +118,21 @@ def fed_median(updates: Sequence[WeightUpdate]) -> np.ndarray:
     return np.median(mat, axis=0)
 
 
-def sto_median(
-    updates: Sequence[WeightUpdate], eps: float = 1e-8, std: str = "population"
-) -> np.ndarray:
+def sto_median(updates: Sequence[WeightUpdate], eps: float = 1e-8) -> np.ndarray:
     """Median-centred stochastic filter on log-transformed weights.
 
     Per coordinate: transform w -> -log(w+eps) for w>0 else log|w-eps|, take
-    the median and standard deviation of the transformed column, weight each
-    model by the Gaussian density of its transformed value (scaled by dataset
-    length, normalized per coordinate), and combine the original weights.
+    the median and population standard deviation of the transformed column,
+    weight each model by the Gaussian density of its transformed value (scaled
+    by dataset length, normalized per coordinate), and combine the original
+    weights.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
     mat, lens = _stack(updates)
     if not np.all(np.isfinite(mat)):
         raise ValueError("non-finite weight in updates")
-    probs = _sto_probabilities(mat, lens, eps, std)
+    probs = _sto_probabilities(mat, lens, eps)
     combined = (probs * mat).sum(axis=0)
     # where every model agrees exactly, any convex combination equals that
     # value; bypass the filter arithmetic so the identity is bit-exact
@@ -144,28 +140,23 @@ def sto_median(
     return np.where(same, mat[0], combined)
 
 
-def _sto_probabilities(
-    mat: np.ndarray, lens: np.ndarray, eps: float, std: str
-) -> np.ndarray:
+def _sto_probabilities(mat: np.ndarray, lens: np.ndarray, eps: float) -> np.ndarray:
     transformed = np.empty_like(mat)
     pos = mat > 0.0
     transformed[pos] = -np.log(mat[pos] + eps)
     transformed[~pos] = np.log(np.abs(mat[~pos] - eps))
     mu = np.median(transformed, axis=0)
-    ddof = 0 if std == "population" else 1
-    sigma = np.maximum(transformed.std(axis=0, ddof=ddof), eps)
+    sigma = np.maximum(transformed.std(axis=0), eps)
     dev = (transformed - mu) / sigma
     density = np.exp(-0.5 * dev * dev) / (sigma * np.sqrt(2.0 * np.pi))
     weighted = density * lens[:, None]
     return weighted / weighted.sum(axis=0)
 
 
-def sto_median_probabilities(
-    updates: Sequence[WeightUpdate], eps: float = 1e-8, std: str = "population"
-) -> np.ndarray:
+def sto_median_probabilities(updates: Sequence[WeightUpdate], eps: float = 1e-8) -> np.ndarray:
     """Normalized per-coordinate filter probabilities (diagnostic view)."""
     mat, lens = _stack(updates)
-    return _sto_probabilities(mat, lens, eps, std)
+    return _sto_probabilities(mat, lens, eps)
 
 
 def fed_be_fit(updates: Sequence[WeightUpdate]) -> tuple[np.ndarray, np.ndarray]:
@@ -204,14 +195,12 @@ def fed_be(
     inputs = np.stack([s.input for s in distill_set])
     ensemble = np.zeros(inputs.shape[:3] + (spec.layers[-1].filters,))
     for row in draws:
-        ensemble += nn.forward_batch(spec, nn.unflatten_params(row, spec), inputs)
+        ensemble += nn.forward_batch(spec, row, inputs)
     ensemble /= samples
-    distilled = nn.train_minibatch(
-        spec, nn.unflatten_params(mu, spec), inputs, ensemble,
-        epochs=distill_epochs, batch_size=batch_size, learning_rate=learning_rate,
-        rng=rng,
+    return nn.train_minibatch(
+        spec, mu, inputs, ensemble, epochs=distill_epochs, batch_size=batch_size,
+        learning_rate=learning_rate, rng=rng,
     )
-    return distilled.data
 
 
 def aggregate(
@@ -233,7 +222,7 @@ def aggregate(
     if aggregator.kind == "fedmedian":
         return fed_median(updates)
     if aggregator.kind == "stomedian":
-        return sto_median(updates, aggregator.eps, aggregator.stomedian_std)
+        return sto_median(updates, aggregator.eps)
     if rng is None or distill_set is None or spec is None:
         raise ValueError("fedbe needs rng, distill_set and spec")
     distill_lr = aggregator.fedbe_distill_lr

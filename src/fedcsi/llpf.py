@@ -37,7 +37,7 @@ class LlpfConfig:
 
 
 def per_sample_losses(
-    spec: nn.NetworkSpec, global_params: nn.ParamVector, cache: CachedDataset
+    spec: nn.NetworkSpec, global_params: np.ndarray, cache: CachedDataset
 ) -> np.ndarray:
     """Mean squared error of each cached sample, aligned with cache order."""
     inputs = np.stack([s.input for s in cache.samples])
@@ -79,7 +79,7 @@ def classify_losses(losses: np.ndarray, cfg: LlpfConfig) -> np.ndarray:
 
 def filter_cache(
     spec: nn.NetworkSpec,
-    global_params: nn.ParamVector,
+    global_params: np.ndarray,
     cache: CachedDataset,
     cfg: LlpfConfig,
     rng: np.random.Generator,

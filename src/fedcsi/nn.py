@@ -3,11 +3,14 @@
 Tensors are plain numpy arrays, row-major, shape (height, width, channels)
 for a single sample or (batch, height, width, channels) for batches.  All
 convolutions are stride-1 with same padding, so spatial size is preserved
-end to end and the network maps an H x W x C_in grid to H x W x C_out.
+end to end and the network maps an H x W x C_in grid to H x W x C_out.  A
+network's parameters are one flat float64 vector, read per layer through
+`layer_params`.
 """
 from __future__ import annotations
 
 import ctypes
+import math
 import platform
 import sys
 from dataclasses import dataclass, replace
@@ -86,80 +89,47 @@ def default_network_spec(height: int = 72, width: int = 14) -> NetworkSpec:
     )
 
 
-@dataclass(frozen=True)
-class LayoutEntry:
-    layer: int
-    role: str  # "kernel" | "bias"
-    shape: tuple[int, ...]
-    offset: int
-    size: int
-
-
-def param_layout(spec: NetworkSpec) -> tuple[LayoutEntry, ...]:
-    spec.validate()
-    entries = []
-    offset = 0
-    c_in = spec.input_shape[2]
-    for i, layer in enumerate(spec.layers):
-        kshape = (layer.kernel_h, layer.kernel_w, c_in, layer.filters)
-        ksize = int(np.prod(kshape))
-        entries.append(LayoutEntry(i, "kernel", kshape, offset, ksize))
-        offset += ksize
-        entries.append(LayoutEntry(i, "bias", (layer.filters,), offset, layer.filters))
-        offset += layer.filters
-        c_in = layer.filters
-    return tuple(entries)
-
-
 def param_count(spec: NetworkSpec) -> int:
-    return sum(e.size for e in param_layout(spec))
+    spec.validate()
+    count, c_in = 0, spec.input_shape[2]
+    for layer in spec.layers:
+        count += (layer.kernel_h * layer.kernel_w * c_in + 1) * layer.filters
+        c_in = layer.filters
+    return count
 
 
-@dataclass
-class ParamVector:
-    """Flat parameter array plus the layout that maps slices to layers."""
+def layer_params(spec: NetworkSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(kernel, bias) views of each layer in the flat parameter vector.
 
-    data: np.ndarray
-    layout: tuple[LayoutEntry, ...]
-
-    def kernel(self, layer: int) -> np.ndarray:
-        e = self._entry(layer, "kernel")
-        return self.data[e.offset:e.offset + e.size].reshape(e.shape)
-
-    def bias(self, layer: int) -> np.ndarray:
-        e = self._entry(layer, "bias")
-        return self.data[e.offset:e.offset + e.size]
-
-    def _entry(self, layer: int, role: str) -> LayoutEntry:
-        for e in self.layout:
-            if e.layer == layer and e.role == role:
-                return e
-        raise KeyError(f"no {role} for layer {layer}")
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.data.copy(), self.layout)
+    The vector holds layer after layer a (kh, kw, C_in, C_out) kernel, row
+    major, then its C_out biases.  It must be 1-D float64 with exactly
+    `param_count(spec)` entries, so that a vector never runs as another
+    network than its spec.
+    """
+    count = param_count(spec)
+    if not (isinstance(params, np.ndarray) and params.dtype == np.float64
+            and params.shape == (count,)):
+        got = getattr(params, "dtype", type(params).__name__)
+        raise ValueError(f"params must be 1-D float64 with {count} entries for this spec, "
+                         f"got {got} of shape {np.shape(params)}")
+    views, offset, c_in = [], 0, spec.input_shape[2]
+    for layer in spec.layers:
+        kshape = (layer.kernel_h, layer.kernel_w, c_in, layer.filters)
+        end = offset + math.prod(kshape)
+        views.append((params[offset:end].reshape(kshape), params[end:end + layer.filters]))
+        offset, c_in = end + layer.filters, layer.filters
+    return views
 
 
-def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
+def init_params(spec: NetworkSpec, seed: int) -> np.ndarray:
     """Fan-in-scaled uniform kernels, zero biases; reproducible per (spec, seed)."""
-    layout = param_layout(spec)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    data = np.zeros(sum(e.size for e in layout))
-    for e in layout:
-        if e.role == "kernel":
-            kh, kw, c_in, _ = e.shape
-            bound = np.sqrt(1.0 / (kh * kw * c_in))
-            data[e.offset:e.offset + e.size] = rng.uniform(-bound, bound, e.size)
-    return ParamVector(data, layout)
-
-
-def unflatten_params(flat: np.ndarray, spec: NetworkSpec) -> ParamVector:
-    layout = param_layout(spec)
-    total = sum(e.size for e in layout)
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.ndim != 1 or flat.size != total:
-        raise ValueError(f"expected flat length {total}, got shape {flat.shape}")
-    return ParamVector(flat.copy(), layout)
+    params = np.zeros(param_count(spec))
+    for kernel, _ in layer_params(spec, params):
+        kh, kw, c_in, _ = kernel.shape
+        bound = np.sqrt(1.0 / (kh * kw * c_in))
+        kernel[...] = rng.uniform(-bound, bound, kernel.shape)
+    return params
 
 
 # --------------------------- activations ---------------------------------
@@ -376,8 +346,8 @@ def _kernel_gradient(
 # --------------------------- public ops ----------------------------------
 
 def _check_input(spec: NetworkSpec, x: np.ndarray) -> None:
-    if tuple(x.shape[-3:]) != tuple(spec.input_shape):
-        raise ValueError(f"input shape {x.shape[-3:]} != spec {spec.input_shape}")
+    if x.shape[1:] != tuple(spec.input_shape):
+        raise ValueError(f"input shape {x.shape} is not (batch,) + spec {spec.input_shape}")
 
 
 def _chunk_size(spec: NetworkSpec) -> int:
@@ -392,27 +362,25 @@ def _chunk_size(spec: NetworkSpec) -> int:
     return max(1, _CHUNK_BYTES // (8 * h * w * widest))
 
 
-def forward_batch(spec: NetworkSpec, params: ParamVector, xs: np.ndarray) -> np.ndarray:
+def forward_batch(spec: NetworkSpec, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Outputs of a batch, computed in chunks of `_chunk_size` samples; each
     sample's output is the same bit for bit however the batch is chunked."""
     _check_input(spec, xs)
+    weights = layer_params(spec, params)
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty(xs.shape[:3] + (spec.layers[-1].filters,))
     step = _chunk_size(spec)
     for start in range(0, len(xs), step):
         act = xs[start:start + step]
-        for i, layer in enumerate(spec.layers):
-            kernel = params.kernel(i)
-            z = _correlate(_pad(act, *kernel.shape[:2]), kernel) + params.bias(i)
+        for layer, (kernel, bias) in zip(spec.layers, weights):
+            z = _correlate(_pad(act, *kernel.shape[:2]), kernel) + bias
             act = _ACT[layer.activation][0](z)
         out[start:start + step] = act
     return out
 
 
-def forward(spec: NetworkSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
+def forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Run one sample through the network; output keeps the input grid size."""
-    if x.ndim != 3:
-        raise ValueError(f"expected (H, W, C) input, got shape {x.shape}")
     return forward_batch(spec, params, x[None])[0]
 
 
@@ -424,12 +392,12 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def batch_gradient(
-    spec: NetworkSpec, params: ParamVector, inputs: np.ndarray, targets: np.ndarray
+    spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Gradient of the batch-mean MSE w.r.t. the flat params, plus the loss.
 
     The batch runs in chunks of `_chunk_size` samples, whose kernel and bias
-    gradients add up in chunk order.
+    gradients add up in chunk order in the views of one flat zero vector.
     """
     if inputs.shape[0] == 0:
         raise ValueError("empty batch")
@@ -437,28 +405,31 @@ def batch_gradient(
     output = inputs.shape[:3] + (spec.layers[-1].filters,)
     if targets.shape != output:
         raise ValueError(f"targets shape {targets.shape} != output {output}")
+    weights = layer_params(spec, params)
     inputs = np.asarray(inputs, dtype=np.float64)
-    grad = ParamVector(np.zeros_like(params.data), params.layout)
+    grad = np.zeros(params.size)
+    grads = layer_params(spec, grad)
     # batch-mean of per-sample mean MSE: every element carries 1/(A*H*W*C)
     scale = 2.0 / targets.size
     sse = 0.0
     step = _chunk_size(spec)
     for start in range(0, len(inputs), step):
-        sse += _chunk_gradient(spec, params, inputs[start:start + step],
-                               targets[start:start + step], scale, grad)
-    return grad.data, sse / targets.size
+        sse += _chunk_gradient(spec, weights, inputs[start:start + step],
+                               targets[start:start + step], scale, grads)
+    return grad, sse / targets.size
 
 
 def _chunk_gradient(
-    spec: NetworkSpec, params: ParamVector, inputs: np.ndarray, targets: np.ndarray,
-    scale: float, grad: ParamVector,
+    spec: NetworkSpec, weights: list, inputs: np.ndarray, targets: np.ndarray,
+    scale: float, grads: list,
 ) -> float:
     """Add `scale` times the chunk's gradient of its summed squared error to
-    `grad`; return that summed squared error."""
+    `grads`; return that summed squared error.  `weights` and `grads` are the
+    `layer_params` views of the parameters and of the gradient."""
     act = inputs
     saved, zs = [], []
-    for i, layer in enumerate(spec.layers):
-        z, operand = _conv_forward(act, params.kernel(i), params.bias(i))
+    for layer, (kernel, bias) in zip(spec.layers, weights):
+        z, operand = _conv_forward(act, kernel, bias)
         saved.append(operand)
         zs.append(z)
         act = _ACT[layer.activation][0](z)
@@ -470,7 +441,7 @@ def _chunk_gradient(
     da *= scale
     del act, diff
     for i in range(len(spec.layers) - 1, -1, -1):
-        kernel = params.kernel(i)
+        kernel = weights[i][0]
         kh, kw, c_in, c_out = kernel.shape
         # popped and deleted, so that each buffer is freed once it is done
         # with: the input gradient's products, which need only dzp, hold the
@@ -480,8 +451,8 @@ def _chunk_gradient(
         del da
         # layer 0 needs no input gradient, nor dzp when it unfolds whole
         dzp = _pad(dz, kh, kw, flipped=True) if i or _plan(kw, c_in, c_out) != "whole" else None
-        grad.kernel(i)[...] += _kernel_gradient(saved.pop(), dz, dzp, kernel.shape)
-        grad.bias(i)[...] += dz.sum(axis=(0, 1, 2))
+        grads[i][0][...] += _kernel_gradient(saved.pop(), dz, dzp, kernel.shape)
+        grads[i][1][...] += dz.sum(axis=(0, 1, 2))
         del dz
         if i:
             da = _correlate(dzp, np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2)))
@@ -536,7 +507,7 @@ def optimizer_step(
 
 def train_minibatch(
     spec: NetworkSpec,
-    params: ParamVector,
+    params: np.ndarray,
     inputs: np.ndarray,
     targets: np.ndarray,
     *,
@@ -549,7 +520,7 @@ def train_minibatch(
     eps: float = 1e-8,
     optimizer: str = "adam",
     max_steps: Optional[int] = None,
-) -> ParamVector:
+) -> np.ndarray:
     """Mini-batch training loop with per-epoch shuffling from `rng`.
 
     The last partial batch of each epoch is kept.  With `max_steps` the loop
@@ -560,9 +531,10 @@ def train_minibatch(
         raise ValueError("empty training set")
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
+    layer_params(spec, params)  # checked here too, for runs that take no step
     n = inputs.shape[0]
-    flat = params.data.copy()
-    state = init_optimizer(optimizer, flat.size, learning_rate, beta1, beta2, eps)
+    params = params.copy()
+    state = init_optimizer(optimizer, params.size, learning_rate, beta1, beta2, eps)
     steps = 0
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -570,10 +542,9 @@ def train_minibatch(
             if max_steps is not None and steps >= max_steps:
                 break
             idx = order[s:s + batch_size]
-            view = ParamVector(flat, params.layout)
-            grad, _ = batch_gradient(spec, view, inputs[idx], targets[idx])
-            flat, state = optimizer_step(flat, grad, state)
+            grad, _ = batch_gradient(spec, params, inputs[idx], targets[idx])
+            params, state = optimizer_step(params, grad, state)
             steps += 1
         if max_steps is not None and steps >= max_steps:
             break
-    return ParamVector(flat, params.layout)
+    return params

@@ -102,7 +102,7 @@ class MetricsRecord:
 @dataclass
 class FederationState:
     round_index: int
-    global_params: nn.ParamVector
+    global_params: np.ndarray
     pretrain_set: list
     validation_set: list
     attack_plan: Optional[attacks.AttackPlan]
@@ -117,7 +117,7 @@ def _attack_fields(plan: Optional[attacks.AttackPlan]) -> tuple[str, str, float]
 
 
 def _mean_sample_mse(
-    spec: nn.NetworkSpec, params: nn.ParamVector, samples: list
+    spec: nn.NetworkSpec, params: np.ndarray, samples: list
 ) -> Optional[float]:
     if not samples:
         return None
@@ -133,7 +133,7 @@ def _mean_sample_mse(
 
 def evaluate(
     spec: nn.NetworkSpec,
-    params: nn.ParamVector,
+    params: np.ndarray,
     caches: list,
     validation: list,
     *,
@@ -163,7 +163,7 @@ def evaluate(
     )
 
 
-def pretrain(config: ExperimentConfig) -> tuple[nn.ParamVector, list, list]:
+def pretrain(config: ExperimentConfig) -> tuple[np.ndarray, list, list]:
     """Generate server data, train the initial global model on it.
 
     Returns (weights, pre-training set, validation set); the validation set
@@ -198,7 +198,7 @@ def pretrain(config: ExperimentConfig) -> tuple[nn.ParamVector, list, list]:
 
 def local_train(
     spec: nn.NetworkSpec,
-    global_params: nn.ParamVector,
+    global_params: np.ndarray,
     cache: channel.CachedDataset,
     config: ExperimentConfig,
 ) -> aggregation.WeightUpdate:
@@ -226,7 +226,7 @@ def local_train(
             learning_rate=config.learning_rate, beta1=config.momentum, rng=rng,
         )
     return aggregation.WeightUpdate(
-        params=trained.data, l_n=cache.aggregation_len, sbs_id=cache.sbs_id
+        params=trained, l_n=cache.aggregation_len, sbs_id=cache.sbs_id
     )
 
 
@@ -319,19 +319,18 @@ def run_round(
                 f"station {update.sbs_id} diverged in round {t}: its local update "
                 f"has a non-finite value at coordinate {int(bad[0])}"
             )
-    flat = aggregation.aggregate(
+    new_params = aggregation.aggregate(
         updates, config.aggregator,
         rng=derive_rng(seed, "aggregate", t),
         distill_set=state.pretrain_set, spec=config.network,
         learning_rate=config.learning_rate, batch_size=config.batch_size,
     )
-    bad = np.flatnonzero(~np.isfinite(flat))
+    bad = np.flatnonzero(~np.isfinite(new_params))
     if bad.size:
         raise RuntimeError(
             f"aggregator {config.aggregator.describe()} produced a non-finite "
             f"value at coordinate {int(bad[0])} in round {t}"
         )
-    new_params = nn.unflatten_params(flat, config.network)
     mode, deployment, r_a = _attack_fields(state.attack_plan or config.attack)
     record = evaluate(
         config.network, new_params, filtered, state.validation_set,

@@ -60,7 +60,9 @@ def ranking_config(mode: str, seed: int, **overrides) -> ExperimentConfig:
     """Desk config for the attack-ranking experiments (widespread, FedAvg).
 
     Grid and training sizes are chosen so ten federation rounds finish in
-    seconds while the reverse/collusion/outdate separation stays wide.
+    seconds.  At this scale reverse and collusion raise the final validation
+    MSE well above the no-attack run; outdate (lag 0.75, pool depth 4) does
+    not: at seeds 1-3 its final validation MSE is within 4% of no attack.
     """
     from fedcsi.attacks import AttackPlan
 

@@ -55,12 +55,12 @@ def test_c01_gradient_oracle():
     ys = rng.normal(size=(3, 7, 5, 2))
     analytic, _ = nn.batch_gradient(spec, params, xs, ys)
     h = 1e-5
-    flat = params.data.copy()
+    flat = params.copy()
     fd = np.zeros_like(flat)
     for i in range(flat.size):
         for sign in (1.0, -1.0):
             flat[i] += sign * h
-            pred = nn.forward_batch(spec, nn.ParamVector(flat, params.layout), xs)
+            pred = nn.forward_batch(spec, flat, xs)
             fd[i] += sign * nn.mse_loss(pred, ys) / (2 * h)
             flat[i] -= sign * h
     ok = np.allclose(analytic, fd, rtol=1e-4, atol=1e-8)

@@ -255,7 +255,7 @@ def test_fed_be_sampling_moments():
 
 def test_fed_be_identical_updates_returns_near_mu():
     spec = nn.NetworkSpec(layers=(nn.LayerSpec(2, 1, 2, "selu"),), input_shape=(2, 2, 2))
-    w = nn.init_params(spec, 1).data  # 10 parameters
+    w = nn.init_params(spec, 1)  # 10 parameters
     assert w.size == 10
     ups = updates_from([w, w, w], [4, 5, 6])
     cfg = channel.ChannelConfig(
@@ -317,6 +317,55 @@ def test_convex_hull_containment_all_order_aggregators():
             agg.sto_median(ups),
         ):
             assert np.all(out >= lo) and np.all(out <= hi)
+
+
+# --------------------------- Byzantine robustness ---------------------------
+# Yin et al., "Byzantine-Robust Distributed Learning" (ICML 2018): with few
+# enough adversarial rows, the coordinate-wise trimmed mean and median stay
+# inside the honest rows' range, whatever the adversarial rows hold.
+
+EXTREMES = {"high": [1e6, 1e300], "low": [-1e6, -1e300], "mixed": [-1e300, -1e6, 1e6, 1e300]}
+
+
+def byzantine_instance(rng, n, bad, side):
+    """n rows in random order, `bad` of them adversarial: honest rows in
+    [-2, 2], adversarial ones drawn per coordinate from EXTREMES[side].
+    Returns the updates and the honest rows."""
+    honest = rng.uniform(-2.0, 2.0, size=(n - bad, 40))
+    adversarial = rng.choice(EXTREMES[side], size=(bad, 40))
+    rows = np.concatenate([honest, adversarial])[rng.permutation(n)]
+    return updates_from(rows, rng.integers(1, 300, size=n)), honest
+
+
+def inside_honest_range(out, honest):
+    return bool(np.all(out >= honest.min(axis=0) - 1e-12)
+                and np.all(out <= honest.max(axis=0) + 1e-12))
+
+
+@pytest.mark.parametrize("side", list(EXTREMES))
+def test_trimmed_mean_holds_with_at_most_trim_a_adversaries(side):
+    rng = np.random.default_rng(120)
+    for n in range(3, 12):
+        for a in range(1, (n - 1) // 2 + 1):
+            for bad in range(a + 1):
+                ups, honest = byzantine_instance(rng, n, bad, side)
+                assert inside_honest_range(agg.trimmed_mean(ups, a), honest)
+            if side == "high":  # the bound is tight: one more attacker gets through
+                ups, honest = byzantine_instance(rng, n, a + 1, side)
+                assert not inside_honest_range(agg.trimmed_mean(ups, a), honest)
+
+
+@pytest.mark.parametrize("side", list(EXTREMES))
+def test_fed_median_holds_with_fewer_than_half_adversaries(side):
+    rng = np.random.default_rng(121)
+    for n in range(1, 13):  # odd and even N
+        most = (n - 1) // 2  # the largest count below n / 2
+        for bad in range(most + 1):
+            ups, honest = byzantine_instance(rng, n, bad, side)
+            assert inside_honest_range(agg.fed_median(ups), honest)
+        if side == "high" and n > 1:
+            ups, honest = byzantine_instance(rng, n, most + 1, side)
+            assert not inside_honest_range(agg.fed_median(ups), honest)
 
 
 def test_aggregator_validation():

@@ -69,7 +69,7 @@ def test_colluded_batch_gradient_points_toward_payload():
     # linear 1-parameter model at w=0, unit inputs, payload 5: the hand value
     # of the batch gradient is -10 * selu'(0) for the kernel coordinate
     spec = nn.NetworkSpec(layers=(nn.LayerSpec(1, 1, 1, "selu"),), input_shape=(1, 1, 1))
-    p = nn.unflatten_params(np.zeros(2), spec)
+    p = np.zeros(2)
     xs = np.ones((2, 1, 1, 1))
     ys = np.full((2, 1, 1, 1), 5.0)
     grad, _ = nn.batch_gradient(spec, p, xs, ys)

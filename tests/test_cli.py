@@ -68,6 +68,9 @@ def test_unknown_key_is_named(tmp_path):
     path.write_text(json.dumps({"mu_count": 1000}))  # a key of earlier versions
     with pytest.raises(ConfigError, match="mu_count"):
         parse_config(path)
+    path.write_text(json.dumps({"aggregator": {"kind": "stomedian", "stomedian_std": "sample"}}))
+    with pytest.raises(ConfigError, match="unknown key 'stomedian_std'"):
+        parse_config(path)
 
 
 def test_parse_error_reports_line(tmp_path):

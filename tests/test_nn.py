@@ -24,29 +24,29 @@ def test_init_params_deterministic():
     spec = tiny_spec()
     a = nn.init_params(spec, 123)
     b = nn.init_params(spec, 123)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
     c = nn.init_params(spec, 124)
-    assert not np.array_equal(a.data, c.data)
+    assert not np.array_equal(a, c)
 
 
 def test_init_params_biases_zero():
     spec = nn.NetworkSpec(layers=(nn.LayerSpec(1, 1, 1, "selu"),), input_shape=(4, 4, 1))
     p = nn.init_params(spec, 7)
-    assert np.all(p.bias(0) == 0.0)
+    assert np.all(nn.layer_params(spec, p)[0][1] == 0.0)
 
 
 def test_init_params_fanin_bound():
     spec = tiny_spec()
     p = nn.init_params(spec, 5)
-    k0 = p.kernel(0)
+    k0 = nn.layer_params(spec, p)[0][0]
     assert np.all(np.abs(k0) <= np.sqrt(1.0 / (3 * 3 * 2)))
 
 
 def test_default_spec_param_count():
     spec = nn.default_network_spec()
     expected = (5 * 5 * 2 * 24 + 24) + (5 * 5 * 24 * 8 + 8) + (5 * 5 * 8 * 2 + 2)
-    # layout-derived count must agree with the closed-form sum
-    by_layout = sum(e.size for e in nn.param_layout(spec))
+    # the per-layer views must cover the closed-form count
+    by_layout = sum(k.size + b.size for k, b in nn.layer_params(spec, np.zeros(6434)))
     assert nn.param_count(spec) == by_layout == expected == 6434
 
 
@@ -66,7 +66,8 @@ def test_param_count_matches_layout_random_specs():
             manual += layer.kernel_h * layer.kernel_w * c_in * layer.filters + layer.filters
             c_in = layer.filters
         assert nn.param_count(spec) == manual
-        assert sum(e.size for e in nn.param_layout(spec)) == manual
+        views = nn.layer_params(spec, np.zeros(manual))
+        assert sum(k.size + b.size for k, b in views) == manual
 
 
 # --------------------------- forward --------------------------------------
@@ -77,7 +78,7 @@ def test_forward_zero_params_zero_output():
         layers=(nn.LayerSpec(3, 3, 4, "softplus"), nn.LayerSpec(3, 3, 2, "selu")),
         input_shape=(6, 5, 2),
     )
-    p = nn.unflatten_params(np.zeros(nn.param_count(spec)), spec)
+    p = np.zeros(nn.param_count(spec))
     x = np.random.default_rng(0).normal(size=spec.input_shape)
     out = nn.forward(spec, p, x)
     assert out.shape == (6, 5, 2)
@@ -93,7 +94,7 @@ def test_softplus_closed_form():
 def test_selu_hand_value():
     # single 1x1 conv, kernel 1.0, bias 0: output = selu(x)
     spec = nn.NetworkSpec(layers=(nn.LayerSpec(1, 1, 1, "selu"),), input_shape=(1, 1, 1))
-    p = nn.unflatten_params(np.array([1.0, 0.0]), spec)
+    p = np.array([1.0, 0.0])
     out = nn.forward(spec, p, np.array([[[2.0]]]))
     assert out[0, 0, 0] == pytest.approx(nn.SELU_LAMBDA * 2.0, rel=1e-15)
     out_neg = nn.forward(spec, p, np.array([[[-1.0]]]))
@@ -108,7 +109,7 @@ def test_forward_same_padding_against_loop_oracle():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 4, 2))
     out = nn.forward(spec, p, x)
-    k = p.kernel(0)
+    k = nn.layer_params(spec, p)[0][0]
     xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
     for i in range(5):
         for j in range(4):
@@ -158,11 +159,11 @@ def test_channel_pairs_reach_every_product_plan():
 def test_forward_kernel_shapes_against_loop_oracle(kh, kw, c_in, c_out):
     spec = nn.NetworkSpec(layers=(nn.LayerSpec(kh, kw, c_out, "selu"),), input_shape=(5, 3, c_in))
     rng = np.random.default_rng(kh * 10 + kw)
-    p = nn.unflatten_params(rng.normal(size=nn.param_count(spec)), spec)
+    p = rng.normal(size=nn.param_count(spec))
     xs = rng.normal(size=(2, 5, 3, c_in))
     out = nn.forward_batch(spec, p, xs)
     for x, got in zip(xs, out):
-        want = nn.selu(loop_conv(x, p.kernel(0), p.bias(0)))
+        want = nn.selu(loop_conv(x, *nn.layer_params(spec, p)[0]))
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
@@ -171,6 +172,19 @@ def test_forward_shape_mismatch_error():
     p = nn.init_params(spec, 0)
     with pytest.raises(ValueError):
         nn.forward(spec, p, np.zeros((6, 5, 3)))
+
+
+@pytest.mark.parametrize("shape", [(72, 14, 2), (2, 3, 72, 14, 2)])
+def test_wrong_rank_input_rejected(shape):
+    # one sample without its batch axis, or a stack of batches: both end in
+    # the input grid, so only the rank tells them from a batch
+    spec = nn.default_network_spec()
+    p = nn.init_params(spec, 0)
+    xs = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"input shape \(" + ", ".join(map(str, shape))):
+        nn.forward_batch(spec, p, xs)
+    with pytest.raises(ValueError, match="input shape"):
+        nn.batch_gradient(spec, p, xs, np.zeros(shape))
 
 
 def test_forward_deterministic_bitwise():
@@ -236,12 +250,12 @@ def test_backward_empty_batch_error():
 
 
 def finite_difference_grad(spec, params, xs, ys, h=1e-5):
-    flat = params.data.copy()
+    flat = params.copy()
     fd = np.zeros_like(flat)
     for i in range(flat.size):
         for sign in (+1.0, -1.0):
             flat[i] += sign * h
-            pred = nn.forward_batch(spec, nn.ParamVector(flat, params.layout), xs)
+            pred = nn.forward_batch(spec, flat, xs)
             loss = nn.mse_loss(pred, ys)
             fd[i] += sign * loss / (2 * h)
             flat[i] -= sign * h
@@ -269,7 +283,7 @@ def test_gradient_kernel_shapes_match_finite_differences(kh, kw):
     spec = nn.NetworkSpec(layers=layers, input_shape=(5, 3, 1))
     rng = np.random.default_rng(kh * 10 + kw)
     p = nn.init_params(spec, kh * 10 + kw)
-    p.data[:] += rng.uniform(-0.1, 0.1, p.data.size)  # non-zero biases too
+    p += rng.uniform(-0.1, 0.1, p.size)  # non-zero biases too
     xs = rng.normal(size=(2,) + spec.input_shape)
     ys = rng.normal(size=(2, 5, 3, 2))
     grad, _ = nn.batch_gradient(spec, p, xs, ys)
@@ -282,7 +296,7 @@ def test_gradient_linear_layer_closed_form():
     # scaled linear model: dL/dw = (2/AE) * sum lambda*x*(lambda*w*x - y)
     spec = nn.NetworkSpec(layers=(nn.LayerSpec(1, 1, 1, "selu"),), input_shape=(2, 2, 1))
     w0 = 0.7
-    p = nn.unflatten_params(np.array([w0, 0.0]), spec)
+    p = np.array([w0, 0.0])
     rng = np.random.default_rng(6)
     xs = rng.uniform(0.5, 1.5, size=(4, 2, 2, 1))
     lam = nn.SELU_LAMBDA
@@ -302,7 +316,7 @@ def test_gradient_linear_layer_closed_form():
 def test_gradient_scales_with_residual_doubling():
     # doubling every residual doubles the gradient in the (scaled) linear case
     spec = nn.NetworkSpec(layers=(nn.LayerSpec(1, 1, 1, "selu"),), input_shape=(3, 2, 1))
-    p = nn.unflatten_params(np.array([0.9, 0.0]), spec)
+    p = np.array([0.9, 0.0])
     rng = np.random.default_rng(7)
     xs = rng.uniform(0.5, 1.5, size=(5, 3, 2, 1))
     pred = nn.forward_batch(spec, p, xs)
@@ -430,22 +444,50 @@ def test_adam_against_scalar_reference_and_converges():
     assert abs(w[0] - 3.0) < 0.5
 
 
-# --------------------------- flatten/unflatten ----------------------------
+# --------------------------- layer_params ---------------------------------
 
-def test_flatten_roundtrip():
+def test_layer_params_views_tile_the_vector():
     spec = tiny_spec()
-    p = nn.init_params(spec, 21)
-    assert p.data.size == nn.param_count(spec)
-    q = nn.unflatten_params(p.data, spec)
-    assert np.array_equal(p.data, q.data)
-    assert q.data is not p.data
-    assert p.layout == q.layout
+    p = np.arange(float(nn.param_count(spec)))
+    views = nn.layer_params(spec, p)
+    assert [(k.shape, b.shape) for k, b in views] == [((3, 3, 2, 4), (4,)), ((3, 3, 4, 2), (2,))]
+    # kernel then bias, layer after layer, row-major, with nothing between
+    assert np.array_equal(np.concatenate([a.ravel() for kb in views for a in kb]), p)
+    views[1][0][0, 0, 0, 0] = -1.0
+    views[1][1][1] = -2.0
+    assert p[76] == -1.0 and p[-1] == -2.0
 
 
-def test_unflatten_wrong_length():
-    spec = tiny_spec()
-    with pytest.raises(ValueError):
-        nn.unflatten_params(np.zeros(nn.param_count(spec) + 1), spec)
+def spec_pair():
+    """Two specs on one 8x6x2 grid: 150 and 214 parameters."""
+    a = nn.NetworkSpec(layers=(nn.LayerSpec(3, 3, 4, "selu"), nn.LayerSpec(3, 3, 2, "selu")),
+                       input_shape=(8, 6, 2))
+    b = nn.NetworkSpec(layers=(nn.LayerSpec(5, 5, 4, "selu"), nn.LayerSpec(1, 1, 2, "selu")),
+                       input_shape=(8, 6, 2))
+    return a, b
+
+
+def test_layer_params_rejects_wrong_vectors():
+    a, b = spec_pair()
+    assert (nn.param_count(a), nn.param_count(b)) == (150, 214)
+    for bad in (np.zeros(151), np.zeros(150, dtype=np.float32), np.zeros((1, 150)),
+                [0.0] * 150):
+        with pytest.raises(ValueError, match="150 entries"):
+            nn.layer_params(a, bad)
+
+
+def test_engine_rejects_params_of_another_spec():
+    a, b = spec_pair()
+    xs = np.random.default_rng(70).normal(size=(3, 8, 6, 2))
+    ys = np.zeros((3, 8, 6, 2))
+    for bad in (nn.init_params(b, 0), nn.init_params(a, 0).astype(np.float32)):
+        with pytest.raises(ValueError, match="150 entries"):
+            nn.forward_batch(a, bad, xs)
+        with pytest.raises(ValueError, match="150 entries"):
+            nn.batch_gradient(a, bad, xs, ys)
+        with pytest.raises(ValueError, match="150 entries"):  # even with no step to take
+            nn.train_minibatch(a, bad, xs, ys, epochs=0, batch_size=3, learning_rate=0.1,
+                               rng=np.random.default_rng(0))
 
 
 # --------------------------- training loop --------------------------------
@@ -467,7 +509,7 @@ def test_train_minibatch_learns_and_is_deterministic():
         spec, p0, xs, ys, epochs=30, batch_size=8, learning_rate=0.01,
         rng=np.random.default_rng(36),
     )
-    assert np.array_equal(trained.data, trained2.data)
+    assert np.array_equal(trained, trained2)
 
 
 def test_train_minibatch_zero_epochs_returns_copy():
@@ -477,8 +519,8 @@ def test_train_minibatch_zero_epochs_returns_copy():
         spec, p, np.zeros((2,) + spec.input_shape), np.zeros((2, 6, 5, 2)),
         epochs=0, batch_size=2, learning_rate=0.1, rng=np.random.default_rng(0),
     )
-    assert np.array_equal(out.data, p.data)
-    assert out.data is not p.data
+    assert np.array_equal(out, p)
+    assert out is not p
 
 
 def test_train_minibatch_max_steps_sgd():
@@ -493,7 +535,7 @@ def test_train_minibatch_max_steps_sgd():
     )
     # replay: 4 plain SGD steps over the same shuffled batches
     replay_rng = np.random.default_rng(43)
-    flat = p.data.copy()
+    flat = p.copy()
     steps = 0
     for _ in range(100):
         order = replay_rng.permutation(6)
@@ -501,12 +543,12 @@ def test_train_minibatch_max_steps_sgd():
             if steps >= 4:
                 break
             idx = order[s:s + 2]
-            g, _ = nn.batch_gradient(spec, nn.ParamVector(flat, p.layout), xs[idx], ys[idx])
+            g, _ = nn.batch_gradient(spec, flat, xs[idx], ys[idx])
             flat = flat - 0.01 * g
             steps += 1
         if steps >= 4:
             break
-    assert np.allclose(out.data, flat, rtol=0, atol=0)
+    assert np.allclose(out, flat, rtol=0, atol=0)
 
 
 # --------------------------- allocator policy -----------------------------

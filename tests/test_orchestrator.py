@@ -91,7 +91,7 @@ def test_pretrain_deterministic():
     cfg = desk_config()
     a, pre_a, _ = pretrain(cfg)
     b, pre_b, _ = pretrain(cfg)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
     assert all(np.array_equal(x.input, y.input) for x, y in zip(pre_a, pre_b))
 
 
@@ -108,7 +108,7 @@ def test_local_train_zero_epochs_identity():
     params, pre, _ = pretrain(cfg)
     cache = channel.CachedDataset(samples=pre[:6], sbs_id=0, round_index=1)
     update = local_train(cfg.network, params, cache, cfg)
-    assert np.array_equal(update.params, params.data)
+    assert np.array_equal(update.params, params)
     assert update.l_n == 6
 
 
@@ -137,7 +137,7 @@ def test_local_train_steps_sgd_mode():
     params, pre, _ = pretrain(cfg)
     cache = channel.CachedDataset(samples=pre[:6], sbs_id=1, round_index=1)
     update = local_train(cfg.network, params, cache, cfg)
-    assert not np.array_equal(update.params, params.data)
+    assert not np.array_equal(update.params, params)
 
 
 def test_local_training_loss_mostly_non_increasing():
