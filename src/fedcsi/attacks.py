@@ -59,12 +59,15 @@ def collude_label(sample: ChannelSample, payload: np.ndarray) -> ChannelSample:
 
 
 def outdate_label(
-    sample: ChannelSample, outdated_pool: list[np.ndarray], rng: np.random.Generator
+    sample: ChannelSample, lag: float, depth: int, rng: np.random.Generator
 ) -> ChannelSample:
-    if not outdated_pool:
+    """The sample with the label of its channel `lag * k` symbols away, k
+    drawn uniformly from 1..depth: one pick from a pool of `depth` outdated
+    labels, of which only the picked one is synthesized."""
+    if depth < 1:
         raise ValueError("empty outdated-CSI pool")
-    pick = int(rng.integers(len(outdated_pool)))
-    return replace(_as_poisoned(sample, "outdate"), label=outdated_pool[pick])
+    k = int(rng.integers(depth)) + 1
+    return replace(_as_poisoned(sample, "outdate"), label=lagged_label(sample, lag * k))
 
 
 def _as_poisoned(sample: ChannelSample, mode: str) -> ChannelSample:
@@ -115,11 +118,8 @@ def poison_caches(
                     payload = victim.label.copy()
                 samples[idx] = collude_label(victim, payload)
             else:  # outdate
-                pool = [
-                    lagged_label(victim, plan.outdate_lag * k)
-                    for k in range(1, plan.outdate_pool_depth + 1)
-                ]
-                samples[idx] = outdate_label(victim, pool, rng)
+                samples[idx] = outdate_label(
+                    victim, plan.outdate_lag, plan.outdate_pool_depth, rng)
         out.append(CachedDataset(
             samples=samples, sbs_id=cache.sbs_id, round_index=cache.round_index,
             aggregation_len=cache.aggregation_len,

@@ -11,11 +11,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import nn
-from .channel import CachedDataset
+from .channel import CachedDataset, ChannelSample
 
 log = logging.getLogger(__name__)
 
@@ -37,11 +38,12 @@ class LlpfConfig:
 
 
 def per_sample_losses(
-    spec: nn.NetworkSpec, global_params: np.ndarray, cache: CachedDataset
+    spec: nn.NetworkSpec, global_params: np.ndarray, samples: Sequence[ChannelSample]
 ) -> np.ndarray:
-    """Mean squared error of each cached sample, aligned with cache order."""
-    inputs = np.stack([s.input for s in cache.samples])
-    labels = np.stack([s.label for s in cache.samples])
+    """Mean squared error of each sample, in order, from one `forward_batch`
+    call over all of them."""
+    inputs = np.stack([s.input for s in samples])
+    labels = np.stack([s.label for s in samples])
     pred = nn.forward_batch(spec, global_params, inputs)
     if pred.shape != labels.shape:
         raise ValueError(f"label shape {labels.shape} != prediction {pred.shape}")
@@ -90,7 +92,7 @@ def filter_cache(
     """
     if cache.l_n == 0:
         raise ValueError("cannot filter an empty cache")
-    losses = per_sample_losses(spec, global_params, cache)
+    losses = per_sample_losses(spec, global_params, cache.samples)
     untrusted = classify_losses(losses, cfg)
     if not untrusted.any():
         return cache

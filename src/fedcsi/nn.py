@@ -1,7 +1,8 @@
 """Minimal float64 conv-net engine: explicit forward/backward, MSE, SGD/Adam.
 
 Tensors are plain numpy arrays, row-major, shape (height, width, channels)
-for a single sample or (batch, height, width, channels) for batches.  All
+for a single sample or (batch, height, width, channels) for batches; inside
+a pass the engine holds them channels first (see the conv plumbing).  All
 convolutions are stride-1 with same padding, so spatial size is preserved
 end to end and the network maps an H x W x C_in grid to H x W x C_out.  A
 network's parameters are one flat float64 vector, read per layer through
@@ -24,6 +25,8 @@ SELU_ALPHA = 1.6732632423543772
 SOFTPLUS_CUTOFF = 30.0  # softplus(x) ~ x above this; avoids exp overflow
 _BLOCK_MACS = 1 << 19  # multiply-adds per matrix product in the conv plumbing
 _CHUNK_BYTES = 3 << 18  # widest-layer activation bytes per forward/gradient pass
+_NARROW = 16  # a layer with more channels on a side stores its buffers cells major
+_ALIGN = 64  # a channels-first product spans a multiple of this many cells
 ACTIVATIONS = ("selu", "softplus")
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 
@@ -148,16 +151,22 @@ def selu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def selu_grad(x: np.ndarray) -> np.ndarray:
-    # exp(min(x, 0)) * (alpha + (1 - alpha) * [x > 0]); alpha + (1 - alpha)
-    # is exactly 1.0, so the positive branch is exact
-    scale = (x > 0.0) * (1.0 - SELU_ALPHA)
-    scale += SELU_ALPHA
-    out = np.minimum(x, 0.0)
-    np.exp(out, out=out)
-    out *= scale
+def selu_with_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """selu(x) and its derivative, from one exponential: the derivative is
+    lambda * (exp(min(x, 0)) * alpha where x <= 0, else 1), and
+    exp(min(x, 0)) is the forward's expm1(min(x, 0)) + 1."""
+    neg = np.minimum(x, 0.0)
+    np.expm1(neg, out=neg)
+    # alpha + (1 - alpha) is exactly 1.0, so the positive branch is exact
+    grad = (x > 0.0) * (1.0 - SELU_ALPHA)
+    grad += SELU_ALPHA
+    grad *= neg + 1.0
+    grad *= SELU_LAMBDA
+    neg *= SELU_ALPHA
+    out = np.maximum(x, 0.0)
+    out += neg
     out *= SELU_LAMBDA
-    return out
+    return out, grad
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -180,44 +189,46 @@ def softplus_grad(x: np.ndarray) -> np.ndarray:
     return out
 
 
-_ACT = {"selu": (selu, selu_grad), "softplus": (softplus, softplus_grad)}
+# name -> (value, (value, derivative))
+_ACT = {"selu": (selu, selu_with_grad),
+        "softplus": (softplus, lambda x: (softplus(x), softplus_grad(x)))}
 
 
 # --------------------------- conv plumbing -------------------------------
 #
-# A batch sits on its zero-padded grid (A, Hp, Wp, C), read as A*Hp*Wp rows
-# of C channels.  The input rows under kernel offset (di, dj) are then the
-# contiguous slice that starts at row di*Wp + dj, so an offset's operand is
-# a view, not a copy.  Outputs computed this way lie on the same padded
-# grid: the top-left (Hp - kh + 1) x (Wp - kw + 1) corner of each sample is
-# valid, the other cells hold junk from neighbouring rows and are cropped.
-# Padded rows separate the samples, so no valid cell reads another sample.
+# Inside a pass a batch is indexed channels first, (C, A, H, W).  On its
+# zero-padded grid (A, Hp, Wp) it reads as C rows of A*Hp*Wp cells, and the
+# cells under kernel offset (di, dj) are the column slice that starts at
+# di*Wp + dj, so an offset's operand is a view, not a copy.  Outputs
+# computed this way lie on the same padded grid: the top-left
+# (Hp - kh + 1) x (Wp - kw + 1) corner of each sample is valid, the other
+# cells hold junk from neighbouring rows and are cropped.  Padded cells
+# separate the samples, so no valid cell reads another sample.
+#
+# A product is (C_out x k) @ (k x cells), so that the long cell axis is the
+# wide output axis of the matrix product: with C_out of 2 to 6 channels
+# BLAS ran that 2 to 2.6 times faster than C_out-wide rows of cells.  A
+# layer with a side of more than _NARROW channels ran faster the other way
+# round, and stores its buffers cells major (`_cells_major`); the code
+# indexes them channels first all the same.  Each product takes the
+# orientation of its input operand and writes into a buffer stored as the
+# layer that reads it next, so a layer's activation, its gradient and the
+# derivative they multiply share one orientation.
 #
 # The product shape follows the channel counts (`_plan`).  A correlation
 # that widens the channels unfolds its input: the whole kernel when
-# kw*C_in <= C_out, so the unfolded rows are at most kh output rows wide,
-# else one kernel row, whose copy serves all kh kernel rows as views
-# shifted by di*Wp.  That makes 1 or kh large products instead of kh*kw
-# accumulations into the wide output.  Other correlations take one product
-# per offset on the views.  The order of the products is fixed, so the
-# summation order never varies between calls.
+# kw*C_in <= C_out, over the valid cells only, so the output needs no
+# cropping; else one kernel row, whose copy serves all kh kernel rows as
+# views shifted by di*Wp.  That makes 1 or kh large products instead of
+# kh*kw accumulations into the wide output.  Other correlations take one
+# product per offset on the views.  The order of the products is fixed, so
+# the summation order never varies between calls.
 #
 # Backward, the input gradient is this same correlation: dz, padded for the
 # flipped kernel, with the flipped and transposed kernel.  The kernel
-# gradient reuses the forward's unfolded input where the forward unfolds
-# the whole kernel, and otherwise takes one product per offset.  Layer 0
-# needs no input gradient.
-
-def _pad(x: np.ndarray, kh: int, kw: int, flipped: bool = False) -> np.ndarray:
-    """x zero-padded for a same correlation with a kh x kw kernel, or with
-    that kernel flipped.  An even kernel pads one more row below (column
-    right) than above (left); flipping it swaps the sides."""
-    a, h, w, c = x.shape
-    top, left = (kh // 2, kw // 2) if flipped else ((kh - 1) // 2, (kw - 1) // 2)
-    xp = np.zeros((a, h + kh - 1, w + kw - 1, c))
-    xp[:, top:top + h, left:left + w] = x
-    return xp
-
+# gradient takes the forward's unfolded input and the same column offsets,
+# one product with dz per forward product.  Layer 0 needs no input
+# gradient.
 
 def _plan(kw: int, c_in: int, c_out: int) -> str:
     """How a correlation forms its products: "whole" (unfold the kernel),
@@ -227,120 +238,176 @@ def _plan(kw: int, c_in: int, c_out: int) -> str:
     return "rows" if c_out > c_in else "offsets"
 
 
-def _unfold(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """im2col: one row of kh*kw*C values per valid output cell."""
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (A, H, W, C, kh, kw)
-    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        -1, kh * kw * xp.shape[3])
+def _cells_major(kernel_shape: tuple) -> bool:
+    """Whether the buffers of the layer with this kernel are stored cells
+    major.  The whole-kernel unfold is built channels first either way."""
+    _, kw, c_in, c_out = kernel_shape
+    return max(c_in, c_out) > _NARROW and _plan(kw, c_in, c_out) != "whole"
 
 
-def _unfold_rows(x: np.ndarray, kw: int) -> np.ndarray:
-    """Row r of the result is rows r .. r + kw - 1 of x (n, C), end to end."""
-    c = x.shape[1]
-    return np.ascontiguousarray(sliding_window_view(x.reshape(-1), kw * c)[::c])
+def _is_cells_major(x: np.ndarray) -> bool:
+    return x.strides[0] < x.strides[1]
 
 
-def _sum_of_products(products: list, out: np.ndarray) -> np.ndarray:
-    """out = sum of a @ b over the (a, b) pairs, which share one shape.
+def _empty(c: int, cells: int, cells_major: bool, fill=np.empty) -> np.ndarray:
+    """A (c, cells) buffer, stored cells major or channels first."""
+    return fill((cells, c)).T if cells_major else fill((c, cells))
 
-    Row blocks of at most _BLOCK_MACS multiply-adds per product keep each
-    block's operands in cache across the products.  With OpenBLAS, products
-    of more than about 10^6 multiply-adds also ran at half the rate per
-    multiply-add on these narrow outputs.
+
+def _aligned(cells: int) -> int:
+    return -(-cells // _ALIGN) * _ALIGN
+
+
+def _pad(x: np.ndarray, kh: int, kw: int, cells_major: bool,
+         flipped: bool = False) -> np.ndarray:
+    """x (C, A, H, W) zero-padded for a same correlation with a kh x kw
+    kernel, or with that kernel flipped, as (C, A*Hp*Wp + _ALIGN) cells:
+    the last _ALIGN zeros let a product span `_aligned` cells.  An even
+    kernel pads one more row below (column right) than above (left);
+    flipping it swaps the sides."""
+    c, a, h, w = x.shape
+    top, left = (kh // 2, kw // 2) if flipped else ((kh - 1) // 2, (kw - 1) // 2)
+    hp, wp = h + kh - 1, w + kw - 1
+    xp = _empty(c, a * hp * wp + _ALIGN, cells_major, np.zeros)
+    xp[:, :a * hp * wp].reshape(c, a, hp, wp)[:, :, top:top + h, left:left + w] = x
+    return xp
+
+
+def _unfold(xp: np.ndarray, grid: tuple, kh: int, kw: int, plan: str) -> tuple:
+    """The input operand of a correlation with a kh x kw kernel under `plan`
+    on the padded grid (A, Hp, Wp), and the column offsets of its products.
+    Row (s, c) of an unfolded operand is channel c shifted by s cells."""
+    a, hp, wp = grid
+    c, rows = xp.shape[0], [di * wp for di in range(kh)]
+    if plan == "offsets":
+        return xp, [r + dj for r in rows for dj in range(kw)]
+    if plan == "whole":
+        h, w = hp - kh + 1, wp - kw + 1
+        cols = np.empty((kh * kw * c, _aligned(a * h * w)))
+        cols[:, a * h * w:] = 0.0
+        windows = sliding_window_view(xp[:, :a * hp * wp].reshape(c, a, hp, wp), (h, w),
+                                      axis=(2, 3))  # (C, A, kh, kw, h, w)
+        cols[:, :a * h * w].reshape(kh, kw, c, a, h, w)[...] = windows.transpose(2, 3, 0, 1, 4, 5)
+        return cols, [0]
+    if _is_cells_major(xp):
+        # a cell's kw*C row unfold is one contiguous run of the buffer
+        unfolded = sliding_window_view(xp.T.reshape(-1), kw * c)[::c]
+        return np.ascontiguousarray(unfolded).T, rows
+    out = np.empty((kw * c, xp.shape[1] - kw + 1))
+    for dj in range(kw):
+        out[dj * c:(dj + 1) * c] = xp[:, dj:dj + out.shape[1]]
+    return out, rows
+
+
+def _sum_of_products(blocks: np.ndarray, operands: list, out: np.ndarray) -> np.ndarray:
+    """out = sum of b.T @ x over the kernel blocks b (k, C_out) of `blocks`
+    and the operands x (k, cells), into out (C_out, cells).
+
+    The products run in the orientation of the operands.  Column blocks of
+    at most _BLOCK_MACS multiply-adds per product keep each block's
+    operands in cache across the products.
     """
-    k, n = products[0][1].shape
-    step = max(1, _BLOCK_MACS // (k * n))
-    term = np.empty((min(step, len(out)), n))
-    for start in range(0, len(out), step):
-        acc = out[start:start + step]
-        np.matmul(products[0][0][start:start + step], products[0][1], out=acc)
-        part = term[:len(acc)]
-        for a, b in products[1:]:
-            np.matmul(a[start:start + step], b, out=part)
-            acc += part
+    k, n = blocks.shape[1:]
+    cells_major = _is_cells_major(operands[0])
+    # the kernel operand goes to BLAS C-contiguous in either orientation:
+    # a transposed one took twice as long
+    blocks = blocks if cells_major else np.ascontiguousarray(blocks.transpose(0, 2, 1))
+    # column blocks of about equal width, none of them short
+    count = max(1, round(out.shape[1] / max(_ALIGN, _BLOCK_MACS // (k * n))))
+    step = _aligned(-(-out.shape[1] // count))
+    term = _empty(n, min(step, out.shape[1]), _is_cells_major(out))
+    for start in range(0, out.shape[1], step):
+        acc = out[:, start:start + step]
+        for i, (b, x) in enumerate(zip(blocks, operands)):
+            part = term[:, :acc.shape[1]] if i else acc
+            if cells_major:
+                np.matmul(x[:, start:start + step].T, b, out=part.T)
+            else:
+                np.matmul(b, x[:, start:start + step], out=part)
+            if i:
+                acc += part
     return out
 
 
 def _inner_products(operands: list, b: np.ndarray) -> np.ndarray:
-    """[a.T @ b for a in operands], each a as long as b, summed over row
+    """[a @ b.T for a in operands], each a as wide as b, summed over column
     blocks as in `_sum_of_products`."""
-    k, n = operands[0].shape[1], b.shape[1]
+    k, n = operands[0].shape[0], b.shape[0]
     step = max(1, _BLOCK_MACS // (k * n))
     out = np.zeros((len(operands), k, n))
     part = np.empty((k, n))
-    for start in range(0, len(b), step):
-        block = b[start:start + step]
+    for start in range(0, b.shape[1], step):
+        block = b[:, start:start + step].T
         for a, acc in zip(operands, out):
-            np.matmul(a[start:start + step].T, block, out=part)
+            np.matmul(a[:, start:start + step], block, out=part)
             acc += part
     return out
 
 
-def _correlate(
-    xp: np.ndarray, kernel: np.ndarray, cols: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Valid correlation of the padded batch with `kernel` (kh, kw, C_in,
-    C_out): shape (A, Hp - kh + 1, Wp - kw + 1, C_out), possibly a view.
-    Where the plan is "whole", `cols` may hold `_unfold(xp, kh, kw)`."""
-    a, hp, wp, c_in = xp.shape
-    kh, kw, _, c_out = kernel.shape
-    h, w = hp - kh + 1, wp - kw + 1
-    plan = _plan(kw, c_in, c_out)
-    if plan == "whole":
-        if cols is None:
-            cols = _unfold(xp, kh, kw)
-        out = np.empty((a * h * w, c_out))
-        return _sum_of_products([(cols, kernel.reshape(-1, c_out))],
-                                out).reshape(a, h, w, c_out)
-    rows = a * hp * wp
-    m = rows - (kh - 1) * wp - (kw - 1)  # rows up to the last valid cell
-    x = xp.reshape(rows, c_in)
-    if plan == "rows":
-        unfolded, krows = _unfold_rows(x, kw), kernel.reshape(kh, kw * c_in, c_out)
-        products = [(unfolded[di * wp:di * wp + m], krows[di]) for di in range(kh)]
-    else:
-        products = [(x[di * wp + dj:di * wp + dj + m], kernel[di, dj])
-                    for di in range(kh) for dj in range(kw)]
-    out = np.empty((rows, c_out))
-    _sum_of_products(products, out[:m])
-    return out.reshape(a, hp, wp, c_out)[:, :h, :w]
-
-
-def _conv_forward(
-    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padded conv of x plus bias.  Returns z and the input operand of
-    `_kernel_gradient`: x unfolded where the plan is "whole", else padded x."""
+def _correlate(xp: np.ndarray, grid: tuple, kernel: np.ndarray, cells_major: bool,
+               unfolded: Optional[tuple] = None) -> np.ndarray:
+    """Valid correlation of the padded batch xp (C_in, cells) on the grid
+    (A, Hp, Wp) with `kernel` (kh, kw, C_in, C_out): shape
+    (C_out, A, Hp - kh + 1, Wp - kw + 1), stored cells major or not, and
+    possibly a view.  `unfolded` may hold `_unfold`'s result for it."""
+    a, hp, wp = grid
     kh, kw, c_in, c_out = kernel.shape
-    xp = _pad(x, kh, kw)
-    if _plan(kw, c_in, c_out) != "whole":
-        return _correlate(xp, kernel) + bias, xp
-    cols = _unfold(xp, kh, kw)
-    return _correlate(xp, kernel, cols) + bias, cols
+    h, w = hp - kh + 1, wp - kw + 1
+    whole = _plan(kw, c_in, c_out) == "whole"
+    x, offsets = unfolded or _unfold(xp, grid, kh, kw, _plan(kw, c_in, c_out))
+    cells = a * h * w if whole else a * hp * wp
+    m = cells if whole else cells - (kh - 1) * wp - (kw - 1)  # up to the last valid cell
+    if not _is_cells_major(x):
+        # BLAS computes the last cells of a channels-first product, those
+        # past a multiple of its kernel's width, in a tail kernel that
+        # rounds differently: so that no cell's value depends on where the
+        # chunk puts it, products span a multiple of _ALIGN cells
+        m = _aligned(m)
+    out = _empty(c_out, max(m, cells), cells_major)
+    _sum_of_products(kernel.reshape(len(offsets), -1, c_out),
+                     [x[:, s:s + m] for s in offsets], out[:, :m])
+    if whole:
+        return out[:, :cells].reshape(c_out, a, h, w)
+    return out[:, :cells].reshape(c_out, a, hp, wp)[:, :, :h, :w]
 
 
-def _kernel_gradient(
-    saved: np.ndarray, dz: np.ndarray, dzp: Optional[np.ndarray], kshape: tuple
-) -> np.ndarray:
-    """dL/dkernel (shape `kshape`): the correlation of the padded input with dz.
-
-    Where the forward product unfolds the whole kernel, `saved` is that
-    unfolded input and this is one product with dz.  Otherwise `saved` is
-    the padded input xp, and this takes one product per offset, on views
-    of xp and of dzp, dz padded for the flipped kernel (unused in the first
-    case): dzp's rows from (kh // 2)*Wp + kw // 2 on hold dz at the top left
-    of xp's grid.
-    """
+def _kernel_gradient(unfolded: tuple, dz: np.ndarray, dzp: Optional[np.ndarray],
+                     grid: tuple, kshape: tuple) -> np.ndarray:
+    """dL/dkernel (shape `kshape`): the correlation of the padded input,
+    unfolded as for the forward, with dz.  Where the forward unfolds the
+    whole kernel this is one product with dz over the valid cells.
+    Otherwise it takes dzp, dz padded for the flipped kernel (unused in the
+    first case): its cells from (kh // 2)*Wp + kw // 2 on hold dz at the top
+    left of the input's grid, and zeros on its junk cells."""
     kh, kw, c_in, c_out = kshape
+    x, offsets = unfolded
     if _plan(kw, c_in, c_out) == "whole":
-        return _inner_products([saved], dz.reshape(-1, c_out)).reshape(kshape)
-    a, hp, wp, _ = saved.shape
-    rows = a * hp * wp
-    m = rows - (kh - 1) * wp - (kw - 1)
+        d = dz.reshape(c_out, -1)
+        return _inner_products([x[:, :d.shape[1]]], d).reshape(kshape)
+    a, hp, wp = grid
+    m = a * hp * wp - (kh - 1) * wp - (kw - 1)
     shift = (kh // 2) * wp + kw // 2
-    x, d = saved.reshape(rows, c_in), dzp.reshape(rows, c_out)[shift:shift + m]
-    views = [x[di * wp + dj:di * wp + dj + m] for di in range(kh) for dj in range(kw)]
-    return _inner_products(views, d).reshape(kshape)
+    d = dzp[:, shift:shift + m]
+    return _inner_products([x[:, s:s + m] for s in offsets], d).reshape(kshape)
+
+
+def _layouts(weights: list) -> list[tuple[bool, bool]]:
+    """Per layer, whether its padded input and padded gradient are stored
+    cells major, and whether its output and the gradient with respect to
+    that output are: so if the layer or the next one is."""
+    wide = [_cells_major(kernel.shape) for kernel, _ in weights] + [False]
+    return [(wide[i], wide[i] or wide[i + 1]) for i in range(len(weights))]
+
+
+def _conv(x: np.ndarray, kernel: np.ndarray, layout: tuple) -> tuple[np.ndarray, tuple]:
+    """Same-padded correlation of x (C, A, H, W) with `kernel`, without the
+    bias, and the unfolded input that `_kernel_gradient` takes."""
+    kh, kw, c_in, c_out = kernel.shape
+    _, a, h, w = x.shape
+    grid = (a, h + kh - 1, w + kw - 1)
+    xp = _pad(x, kh, kw, layout[0])
+    unfolded = _unfold(xp, grid, kh, kw, _plan(kw, c_in, c_out))
+    return _correlate(xp, grid, kernel, layout[1], unfolded), unfolded
 
 
 # --------------------------- public ops ----------------------------------
@@ -367,15 +434,16 @@ def forward_batch(spec: NetworkSpec, params: np.ndarray, xs: np.ndarray) -> np.n
     sample's output is the same bit for bit however the batch is chunked."""
     _check_input(spec, xs)
     weights = layer_params(spec, params)
+    layouts = _layouts(weights)
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty(xs.shape[:3] + (spec.layers[-1].filters,))
     step = _chunk_size(spec)
     for start in range(0, len(xs), step):
-        act = xs[start:start + step]
-        for layer, (kernel, bias) in zip(spec.layers, weights):
-            z = _correlate(_pad(act, *kernel.shape[:2]), kernel) + bias
+        act = xs[start:start + step].transpose(3, 0, 1, 2)
+        for layer, (kernel, bias), layout in zip(spec.layers, weights, layouts):
+            z = _conv(act, kernel, layout)[0] + bias[:, None, None, None]
             act = _ACT[layer.activation][0](z)
-        out[start:start + step] = act
+        out[start:start + step] = act.transpose(1, 2, 3, 0)
     return out
 
 
@@ -426,16 +494,17 @@ def _chunk_gradient(
     """Add `scale` times the chunk's gradient of its summed squared error to
     `grads`; return that summed squared error.  `weights` and `grads` are the
     `layer_params` views of the parameters and of the gradient."""
-    act = inputs
-    saved, zs = [], []
-    for layer, (kernel, bias) in zip(spec.layers, weights):
-        z, operand = _conv_forward(act, kernel, bias)
-        saved.append(operand)
-        zs.append(z)
-        act = _ACT[layer.activation][0](z)
+    act = inputs.transpose(3, 0, 1, 2)
+    saved, derivatives = [], []
+    layouts = _layouts(weights)
+    for layer, (kernel, bias), layout in zip(spec.layers, weights, layouts):
+        z, unfolded = _conv(act, kernel, layout)
+        saved.append(unfolded)
+        act, derivative = _ACT[layer.activation][1](z + bias[:, None, None, None])
+        derivatives.append(derivative)
     # the output is this chunk's own buffer; it becomes diff and then da
     diff = act
-    diff -= targets
+    diff -= targets.transpose(3, 0, 1, 2)
     sse = float(np.sum(diff * diff))
     da = diff
     da *= scale
@@ -443,19 +512,21 @@ def _chunk_gradient(
     for i in range(len(spec.layers) - 1, -1, -1):
         kernel = weights[i][0]
         kh, kw, c_in, c_out = kernel.shape
-        # popped and deleted, so that each buffer is freed once it is done
-        # with: the input gradient's products, which need only dzp, hold the
-        # chunk's peak while the layer-0 unfold is still kept
-        dz = _ACT[spec.layers[i].activation][1](zs.pop())
+        # popped and deleted, so that each buffer is freed once it is done with
+        dz = derivatives.pop()
         dz *= da
         del da
+        _, a, h, w = dz.shape
+        grid = (a, h + kh - 1, w + kw - 1)
         # layer 0 needs no input gradient, nor dzp when it unfolds whole
-        dzp = _pad(dz, kh, kw, flipped=True) if i or _plan(kw, c_in, c_out) != "whole" else None
-        grads[i][0][...] += _kernel_gradient(saved.pop(), dz, dzp, kernel.shape)
-        grads[i][1][...] += dz.sum(axis=(0, 1, 2))
+        dzp = _pad(dz, kh, kw, layouts[i][0], flipped=True) \
+            if i or _plan(kw, c_in, c_out) != "whole" else None
+        grads[i][0][...] += _kernel_gradient(saved.pop(), dz, dzp, grid, kernel.shape)
+        grads[i][1][...] += dz.sum(axis=(1, 2, 3))
         del dz
         if i:
-            da = _correlate(dzp, np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2)))
+            flipped = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
+            da = _correlate(dzp, grid, flipped, layouts[i - 1][1])
     return sse
 
 

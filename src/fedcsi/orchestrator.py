@@ -16,7 +16,6 @@ import numpy as np
 from . import aggregation, attacks, channel, llpf, nn
 from .seeds import derive_rng
 
-EVAL_BATCH = 64
 LABEL_CHANNELS = 2
 
 
@@ -121,14 +120,7 @@ def _mean_sample_mse(
 ) -> Optional[float]:
     if not samples:
         return None
-    total = 0.0
-    for start in range(0, len(samples), EVAL_BATCH):
-        part = samples[start:start + EVAL_BATCH]
-        inputs = np.stack([s.input for s in part])
-        labels = np.stack([s.label for s in part])
-        diff = nn.forward_batch(spec, params, inputs) - labels
-        total += float(np.mean(diff * diff, axis=(1, 2, 3)).sum())
-    return total / len(samples)
+    return float(llpf.per_sample_losses(spec, params, samples).sum()) / len(samples)
 
 
 def evaluate(

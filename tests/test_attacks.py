@@ -83,9 +83,8 @@ def test_colluded_batch_gradient_points_toward_payload():
 def test_outdate_label_single_pool_entry():
     caches = make_caches([2])
     s = caches[0].samples[0]
-    pool = [channel.lagged_label(s, 2.0)]
-    out = attacks.outdate_label(s, pool, derive_rng(3, "od"))
-    assert np.array_equal(out.label, pool[0])
+    out = attacks.outdate_label(s, 2.0, 1, derive_rng(3, "od"))
+    assert np.array_equal(out.label, channel.lagged_label(s, 2.0))
     assert out.provenance == "outdate"
 
 
@@ -93,10 +92,37 @@ def test_outdate_label_membership_and_empty_pool():
     caches = make_caches([2])
     s = caches[0].samples[0]
     pool = [channel.lagged_label(s, k) for k in (1.0, 2.0, 3.0)]
-    out = attacks.outdate_label(s, pool, derive_rng(4, "od2"))
+    out = attacks.outdate_label(s, 1.0, 3, derive_rng(4, "od2"))
     assert any(np.array_equal(out.label, entry) for entry in pool)
     with pytest.raises(ValueError):
-        attacks.outdate_label(s, [], derive_rng(4, "od3"))
+        attacks.outdate_label(s, 1.0, 0, derive_rng(4, "od3"))
+
+
+def test_outdate_synthesizes_only_the_picked_label(monkeypatch):
+    # one channel_grid call per victim, and its label is the pool entry
+    # that the same draws pick from the whole pool of lagged labels
+    caches = make_caches([6, 5])
+    plan = AttackPlan(mode="outdate", ratio=0.5, outdate_lag=0.75, outdate_pool_depth=4)
+    calls = []
+    grid = channel.channel_grid
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("time_offset"))
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "channel_grid", counted)
+    out = attacks.poison_caches(caches, plan, derive_rng(8, "od5"))
+    monkeypatch.undo()
+    replay = derive_rng(8, "od5")
+    victims = 0
+    for before, after in zip(caches, out):
+        for idx in replay.choice(before.l_n, size=before.l_n // 2, replace=False):
+            victim = before.samples[idx]
+            pool = [channel.lagged_label(victim, 0.75 * k) for k in range(1, 5)]
+            assert np.array_equal(after.samples[idx].label, pool[int(replay.integers(4))])
+            victims += 1
+    assert victims == 5
+    assert len(calls) == victims
 
 
 def test_outdate_zero_lag_keeps_labels():

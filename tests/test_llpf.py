@@ -48,7 +48,7 @@ def test_per_sample_losses_match_loop_oracle():
     cache = channel.generate_round_caches(cfg, [7], rng)[0]
     spec = nn.NetworkSpec(layers=(nn.LayerSpec(3, 3, 2, "selu"),), input_shape=(6, 5, 2))
     params = nn.init_params(spec, 3)
-    losses = llpf.per_sample_losses(spec, params, cache)
+    losses = llpf.per_sample_losses(spec, params, cache.samples)
     assert losses.shape == (7,)
     for i, s in enumerate(cache.samples):
         pred = nn.forward(spec, params, s.input)
@@ -61,7 +61,7 @@ def test_per_sample_losses_match_loop_oracle():
 def test_perfect_prediction_gives_zero_loss():
     spec, params = zero_model()
     cache = cache_with_loss_values([0.0, 2.0])
-    losses = llpf.per_sample_losses(spec, params, cache)
+    losses = llpf.per_sample_losses(spec, params, cache.samples)
     assert losses[0] == 0.0
     assert losses[1] == pytest.approx(2.0, rel=1e-12)
 
@@ -146,7 +146,7 @@ def test_filter_replaces_single_outlier():
     assert llpf.trunc_gauss_cdf(1.0, 1.0, 0.6) == pytest.approx(0.5)
     out = llpf.filter_cache(spec, params, cache, cfg, derive_rng(2, "filt"))
     assert out.l_n == 10
-    losses = llpf.per_sample_losses(spec, params, out)
+    losses = llpf.per_sample_losses(spec, params, out.samples)
     assert np.allclose(losses, 1.0)
     assert out.samples[9].uid in {s.uid for s in cache.samples[:9]}
 

@@ -142,16 +142,22 @@ def loop_conv(x, kernel, bias):
 # even, non-square and larger-than-grid kernels on a 5x3 grid, and the default 5x5
 KERNEL_SHAPES = [(2, 4), (4, 2), (1, 6), (6, 3), (5, 5)]
 # (c_in, c_out): unfold the whole kernel, unfold one kernel row, one
-# product per offset (see nn._plan)
-CHANNEL_PAIRS = [(1, 7), (2, 3), (3, 2)]
+# product per offset (see nn._plan), channels first; then the last two with
+# cells-major buffers (see nn._cells_major)
+CHANNEL_PAIRS = [(1, 7), (2, 3), (3, 2), (12, 17), (20, 3)]
+PRODUCT_FORMS = [("whole", False), ("rows", False), ("offsets", False),
+                 ("rows", True), ("offsets", True)]
+
+
+def product_form(kh, kw, c_in, c_out):
+    return nn._plan(kw, c_in, c_out), nn._cells_major((kh, kw, c_in, c_out))
 
 
 def test_channel_pairs_reach_every_product_plan():
-    plans = {nn._plan(kw, c_in, c_out)
-             for _, kw in KERNEL_SHAPES for c_in, c_out in CHANNEL_PAIRS}
-    assert plans == {"whole", "rows", "offsets"}
-    for _, kw in KERNEL_SHAPES:
-        assert [nn._plan(kw, *pair) for pair in CHANNEL_PAIRS] == ["whole", "rows", "offsets"]
+    for kh, kw in KERNEL_SHAPES:
+        assert [product_form(kh, kw, *pair) for pair in CHANNEL_PAIRS] == PRODUCT_FORMS
+    # a whole-kernel unfold is built channels first whatever the width
+    assert product_form(5, 5, 2, 60) == ("whole", False)
 
 
 @pytest.mark.parametrize("kh, kw", KERNEL_SHAPES)
@@ -291,6 +297,33 @@ def test_gradient_kernel_shapes_match_finite_differences(kh, kw):
     assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
 
+@pytest.mark.parametrize("kh, kw", KERNEL_SHAPES)
+def test_gradient_through_a_wide_layer_matches_finite_differences(kh, kw):
+    # channels 2 -> 17 -> 3 -> 2: the middle layer stores its buffers cells
+    # major, its input gradient unfolds a cells-major operand, and the
+    # narrow layers on either side write into its orientation.  Central
+    # differences on 60 coordinates drawn over all layers.
+    layers = tuple(nn.LayerSpec(kh, kw, f, act) for f, act in
+                   zip((17, 3, 2), ("selu", "softplus", "selu")))
+    spec = nn.NetworkSpec(layers=layers, input_shape=(5, 3, 2))
+    assert [nn._cells_major(k.shape) for k, _ in nn.layer_params(spec, nn.init_params(spec, 0))] \
+        == [False, True, False]
+    rng = np.random.default_rng(kh * 10 + kw + 1)
+    p = nn.init_params(spec, kh * 10 + kw)
+    p += rng.uniform(-0.1, 0.1, p.size)
+    xs = rng.normal(size=(2,) + spec.input_shape)
+    ys = rng.normal(size=(2, 5, 3, 2))
+    grad, _ = nn.batch_gradient(spec, p, xs, ys)
+    h = 1e-5
+    for i in rng.choice(p.size, size=60, replace=False):
+        up, down = p.copy(), p.copy()
+        up[i] += h
+        down[i] -= h
+        fd = (nn.mse_loss(nn.forward_batch(spec, up, xs), ys)
+              - nn.mse_loss(nn.forward_batch(spec, down, xs), ys)) / (2 * h)
+        assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
 def test_gradient_linear_layer_closed_form():
     # 1x1 single-filter selu layer kept in the positive branch reduces to the
     # scaled linear model: dL/dw = (2/AE) * sum lambda*x*(lambda*w*x - y)
@@ -378,8 +411,22 @@ def test_batch_spanning_two_chunks_matches_single_samples(spec):
     assert loss == pytest.approx(nn.mse_loss(out, ys), rel=1e-12, abs=0)
 
 
-def test_gradient_working_set_does_not_grow_with_batch():
-    spec = nn.default_network_spec()
+def test_sample_output_does_not_depend_on_its_place_in_the_batch():
+    # 42 cells a sample: BLAS computes the last cells of a product whose
+    # width is not a multiple of its kernel's in a tail kernel that rounds
+    # differently, so without aligned product widths a sample's output
+    # depended on where in the batch it sat
+    layers = tuple(nn.LayerSpec(3, 3, f, "selu") for f in (12, 8, 2))
+    spec = nn.NetworkSpec(layers=layers, input_shape=(7, 6, 2))
+    p = nn.init_params(spec, 62)
+    xs = np.random.default_rng(62).normal(size=(9,) + spec.input_shape)
+    for x, got in zip(xs, nn.forward_batch(spec, p, xs)):
+        assert np.array_equal(got, nn.forward(spec, p, x))
+
+
+@pytest.mark.parametrize("spec", [pytest.param(nn.default_network_spec(), id="default-72x14"),
+                                  pytest.param(desk_spec(), id="desk-36x10")])
+def test_gradient_working_set_does_not_grow_with_batch(spec):
     chunk = nn._chunk_size(spec)
     assert chunk < 64
     rng = np.random.default_rng(61)
