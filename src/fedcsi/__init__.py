@@ -34,15 +34,12 @@ from .llpf import LlpfConfig, classify_losses, filter_cache, per_sample_losses, 
 from .nn import (
     LayerSpec,
     NetworkSpec,
-    OptimizerState,
     default_network_spec,
     forward,
     forward_batch,
-    init_optimizer,
     init_params,
     layer_params,
     mse_loss,
-    optimizer_step,
     param_count,
 )
 from .orchestrator import (

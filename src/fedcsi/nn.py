@@ -14,7 +14,7 @@ import ctypes
 import math
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -530,50 +530,10 @@ def _chunk_gradient(
     return sse
 
 
-# --------------------------- optimizers ----------------------------------
+# --------------------------- training ------------------------------------
 
-@dataclass
-class OptimizerState:
-    kind: str  # "sgd" | "adam"
-    learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    first_moment: Optional[np.ndarray] = None
-    second_moment: Optional[np.ndarray] = None
-
-
-def init_optimizer(
-    kind: str, n_params: int, learning_rate: float, beta1: float = 0.9,
-    beta2: float = 0.999, eps: float = 1e-8,
-) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer {kind!r}")
-    state = OptimizerState(kind, learning_rate, beta1, beta2, eps)
-    if kind == "adam":
-        state.first_moment = np.zeros(n_params)
-        state.second_moment = np.zeros(n_params)
-    return state
-
-
-def optimizer_step(
-    params: np.ndarray, grad: np.ndarray, state: OptimizerState
-) -> tuple[np.ndarray, OptimizerState]:
-    if params.shape != grad.shape:
-        raise ValueError(f"length mismatch {params.shape} vs {grad.shape}")
-    t = state.step_count + 1
-    if state.kind == "sgd":
-        new = params - state.learning_rate * grad
-        next_state = replace(state, step_count=t)
-        return new, next_state
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    next_state = replace(state, step_count=t, first_moment=m, second_moment=v)
-    return new, next_state
+ADAM_BETA2 = 0.999  # Adam's second-moment decay (Kingma & Ba, 2015)
+ADAM_EPS = 1e-8
 
 
 def train_minibatch(
@@ -587,17 +547,18 @@ def train_minibatch(
     learning_rate: float,
     rng: np.random.Generator,
     beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     optimizer: str = "adam",
     max_steps: Optional[int] = None,
 ) -> np.ndarray:
-    """Mini-batch training loop with per-epoch shuffling from `rng`.
+    """Mini-batch SGD or Adam with per-epoch shuffling from `rng`.
 
     The last partial batch of each epoch is kept.  With `max_steps` the loop
     stops after that many optimizer steps regardless of epoch boundaries
-    (used for the fixed-step SGD mode).
+    (used for the fixed-step SGD mode).  Adam's moments start at zero for
+    each call, with decay rates `beta1` and ADAM_BETA2.
     """
+    if optimizer not in ("sgd", "adam"):
+        raise ValueError(f"unknown optimizer {optimizer!r}")
     if inputs.shape[0] == 0:
         raise ValueError("empty training set")
     if batch_size < 1:
@@ -605,7 +566,7 @@ def train_minibatch(
     layer_params(spec, params)  # checked here too, for runs that take no step
     n = inputs.shape[0]
     params = params.copy()
-    state = init_optimizer(optimizer, params.size, learning_rate, beta1, beta2, eps)
+    m = v = np.zeros(params.size)  # Adam's moments, rebound at each step
     steps = 0
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -614,8 +575,15 @@ def train_minibatch(
                 break
             idx = order[s:s + batch_size]
             grad, _ = batch_gradient(spec, params, inputs[idx], targets[idx])
-            params, state = optimizer_step(params, grad, state)
             steps += 1
+            if optimizer == "sgd":
+                params = params - learning_rate * grad
+                continue
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - beta1 ** steps)
+            v_hat = v / (1.0 - ADAM_BETA2 ** steps)
+            params = params - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if max_steps is not None and steps >= max_steps:
             break
     return params

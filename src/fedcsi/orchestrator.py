@@ -49,7 +49,7 @@ class ExperimentConfig:
                      "validation_size", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("rounds", "i_min", "epochs", "sgd_steps"):
+        for name in ("rounds", "i_min", "epochs", "sgd_steps", "master_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.cache_len_lo > self.cache_len_hi:
@@ -67,7 +67,7 @@ class ExperimentConfig:
             raise ValueError("pretrain_epochs must be >= 0")
         self.network.validate()
         self.channel.validate()
-        self.aggregator.validate()
+        self.aggregator.validate(self.n_sbs)  # one update per station and round
         self.llpf.validate()
         grid = (self.channel.grid_height, self.channel.grid_width, LABEL_CHANNELS)
         if self.attack is not None:
@@ -124,34 +124,32 @@ def _mean_sample_mse(
 
 
 def evaluate(
-    spec: nn.NetworkSpec,
+    config: ExperimentConfig,
     params: np.ndarray,
     caches: list,
     validation: list,
     *,
     round_index: int = 0,
-    aggregator: str = "",
-    attack_mode: str = "none",
-    deployment: str = "none",
-    r_a: float = 0.0,
-    seed: int = 0,
 ) -> MetricsRecord:
-    """Three-way metric split: authentic cache data, validation, poisoned."""
+    """Three-way metric split: authentic cache data, validation, poisoned;
+    labelled with the config's aggregator, attack and master seed."""
     if not validation:
         raise ValueError("validation set must be non-empty")
+    spec = config.network
     authentic = [s for c in caches for s in c.samples if s.provenance == "authentic"]
     poisoned = [s for c in caches for s in c.samples if s.provenance != "authentic"]
     delta = _mean_sample_mse(spec, params, validation)
+    mode, deployment, r_a = _attack_fields(config.attack)
     return MetricsRecord(
         round=round_index,
         mse_gamma=_mean_sample_mse(spec, params, authentic),
         mse_delta=delta if delta is not None else 0.0,
         mse_beta=_mean_sample_mse(spec, params, poisoned),
-        aggregator=aggregator,
-        attack_mode=attack_mode,
+        aggregator=config.aggregator.describe(),
+        attack_mode=mode,
         deployment=deployment,
         r_a=r_a,
-        seed=seed,
+        seed=config.master_seed,
     )
 
 
@@ -204,19 +202,14 @@ def local_train(
     rng = derive_rng(config.master_seed, "local-train", cache.round_index, cache.sbs_id)
     inputs = np.stack([s.input for s in cache.samples])
     labels = np.stack([s.label for s in cache.samples])
-    if config.local_mode == "steps_sgd":
-        trained = nn.train_minibatch(
-            spec, global_params, inputs, labels,
-            epochs=max(config.sgd_steps, 1), batch_size=config.batch_size,
-            learning_rate=config.learning_rate, rng=rng,
-            optimizer="sgd", max_steps=config.sgd_steps,
-        )
-    else:
-        trained = nn.train_minibatch(
-            spec, global_params, inputs, labels,
-            epochs=config.epochs, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, beta1=config.momentum, rng=rng,
-        )
+    sgd = config.local_mode == "steps_sgd"
+    trained = nn.train_minibatch(
+        spec, global_params, inputs, labels,
+        epochs=max(config.sgd_steps, 1) if sgd else config.epochs,
+        batch_size=config.batch_size, learning_rate=config.learning_rate,
+        beta1=config.momentum, rng=rng, optimizer="sgd" if sgd else "adam",
+        max_steps=config.sgd_steps if sgd else None,
+    )
     return aggregation.WeightUpdate(
         params=trained, l_n=cache.aggregation_len, sbs_id=cache.sbs_id
     )
@@ -323,12 +316,7 @@ def run_round(
             f"aggregator {config.aggregator.describe()} produced a non-finite "
             f"value at coordinate {int(bad[0])} in round {t}"
         )
-    mode, deployment, r_a = _attack_fields(state.attack_plan or config.attack)
-    record = evaluate(
-        config.network, new_params, filtered, state.validation_set,
-        round_index=t, aggregator=config.aggregator.describe(),
-        attack_mode=mode, deployment=deployment, r_a=r_a, seed=seed,
-    )
+    record = evaluate(config, new_params, filtered, state.validation_set, round_index=t)
     new_state = replace(
         state,
         round_index=t,
@@ -353,13 +341,8 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
     the round-0 pre-training record (seen data = the pre-training set)."""
     config.validate()
     params, pretrain_set, validation_set = pretrain(config)
-    mode, deployment, r_a = _attack_fields(config.attack)
     seen = channel.CachedDataset(samples=pretrain_set, sbs_id=-1, round_index=0)
-    records = [evaluate(
-        config.network, params, [seen], validation_set,
-        round_index=0, aggregator=config.aggregator.describe(),
-        attack_mode=mode, deployment=deployment, r_a=r_a, seed=config.master_seed,
-    )]
+    records = [evaluate(config, params, [seen], validation_set)]
     state = FederationState(
         round_index=0,
         global_params=params,

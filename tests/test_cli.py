@@ -239,6 +239,15 @@ def test_run_bad_config_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_rejects_negative_seed(tmp_path, capsys):
+    # once reached numpy's SeedSequence in pre-training, whose error names no field
+    path = write_tiny_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.run(["run", "--config", str(path), "--out", str(out), "--seed", "-1"]) == 1
+    assert "master_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_entry_point(tmp_path):
     path = write_tiny_config(tmp_path)
     out = tmp_path / "out"
@@ -281,6 +290,26 @@ def test_sweep_rejects_unknown_axis_value(tmp_path):
     ])
     assert code == 1
     assert not (tmp_path / "s").exists() or not list((tmp_path / "s").iterdir())
+
+
+def test_sweep_rejects_impossible_trim_before_any_run(tmp_path, capsys, monkeypatch):
+    # trimming one update per side needs 3 stations; with 2 the sweep once
+    # ran the fedavg cell and failed in the trimmed-mean cell's first round
+    path = write_tiny_config(tmp_path, n_sbs=2)
+    out = tmp_path / "s"
+    ran = []
+
+    def record_run(config):
+        ran.append(config)
+        return []
+
+    monkeypatch.setattr(cli, "run_experiment", record_run)
+    code = cli.run(["sweep", "--config", str(path), "--out", str(out),
+                    "--aggregators", "fedavg,trimmed_mean"])
+    assert code == 1
+    assert "trim_a=1 needs more than 2 updates" in capsys.readouterr().err
+    assert ran == []
+    assert not list(out.glob("*.csv"))
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -445,52 +445,6 @@ def test_gradient_working_set_does_not_grow_with_batch(spec):
     assert peak_bytes(64) <= 2 * peak_bytes(chunk)
 
 
-# --------------------------- optimizers -----------------------------------
-
-def test_sgd_hand_step():
-    state = nn.init_optimizer("sgd", 1, 0.1)
-    w, state = nn.optimizer_step(np.array([1.0]), np.array([2.0]), state)
-    assert w[0] == pytest.approx(0.8, abs=1e-15)
-    assert state.step_count == 1
-
-
-def test_zero_gradient_leaves_params_unchanged():
-    for kind in ("sgd", "adam"):
-        state = nn.init_optimizer(kind, 3, 0.05)
-        w0 = np.array([0.5, -1.0, 2.0])
-        w1, _ = nn.optimizer_step(w0, np.zeros(3), state)
-        assert np.array_equal(w0, w1)
-
-
-def test_optimizer_length_mismatch():
-    state = nn.init_optimizer("sgd", 2, 0.1)
-    with pytest.raises(ValueError):
-        nn.optimizer_step(np.zeros(2), np.zeros(3), state)
-
-
-def scalar_adam_reference(grad_fn, w0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
-    w, m, v = w0, 0.0, 0.0
-    for t in range(1, steps + 1):
-        g = grad_fn(w)
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return w
-
-
-def test_adam_against_scalar_reference_and_converges():
-    grad_fn = lambda w: 2.0 * (w - 3.0)
-    state = nn.init_optimizer("adam", 1, 0.1)
-    w = np.array([0.0])
-    for _ in range(100):
-        w, state = nn.optimizer_step(w, grad_fn(w), state)
-    ref = scalar_adam_reference(grad_fn, 0.0, 0.1, 100)
-    assert w[0] == pytest.approx(ref, rel=1e-12)
-    assert abs(w[0] - 3.0) < 0.5
-
-
 # --------------------------- layer_params ---------------------------------
 
 def test_layer_params_views_tile_the_vector():
@@ -636,3 +590,58 @@ def test_repeat_run_reuses_freed_pages():
     done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert int(done.stdout.split()[-1]) < 1000
+
+
+def test_train_minibatch_adam_replay():
+    spec = tiny_spec()
+    p = nn.init_params(spec, 44)
+    rng = np.random.default_rng(45)
+    xs = rng.normal(size=(7,) + spec.input_shape)
+    ys = rng.normal(size=(7, 6, 5, 2))
+    out = nn.train_minibatch(
+        spec, p, xs, ys, epochs=3, batch_size=3, learning_rate=0.01,
+        rng=np.random.default_rng(46), beta1=0.8,
+    )
+    # replay: textbook Adam (Kingma & Ba) over the same shuffled batches,
+    # the last one of each epoch a single sample
+    replay_rng = np.random.default_rng(46)
+    flat, m, v, t = p.copy(), 0.0, 0.0, 0
+    for _ in range(3):
+        order = replay_rng.permutation(7)
+        for s in range(0, 7, 3):
+            idx = order[s:s + 3]
+            g, _ = nn.batch_gradient(spec, flat, xs[idx], ys[idx])
+            t += 1
+            m = 0.8 * m + (1 - 0.8) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            m_hat = m / (1 - 0.8 ** t)
+            v_hat = v / (1 - 0.999 ** t)
+            flat = flat - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    assert t == 9
+    assert np.allclose(out, flat, rtol=0, atol=0)
+
+
+def test_zero_gradient_leaves_params_unchanged():
+    spec = tiny_spec()
+    p = nn.init_params(spec, 47)
+    xs = np.random.default_rng(48).normal(size=(5,) + spec.input_shape)
+    # targets equal to the network's own output: every gradient is zero
+    ys = nn.forward_batch(spec, p, xs)
+    assert not nn.batch_gradient(spec, p, xs, ys)[0].any()
+    for optimizer in ("sgd", "adam"):
+        out = nn.train_minibatch(
+            spec, p, xs, ys, epochs=4, batch_size=2, learning_rate=0.1,
+            rng=np.random.default_rng(49), optimizer=optimizer,
+        )
+        assert np.array_equal(out, p), optimizer
+
+
+def test_train_minibatch_rejects_unknown_optimizer():
+    spec = tiny_spec()
+    p = nn.init_params(spec, 50)
+    with pytest.raises(ValueError, match="unknown optimizer 'rmsprop'"):
+        nn.train_minibatch(
+            spec, p, np.zeros((2,) + spec.input_shape), np.zeros((2, 6, 5, 2)),
+            epochs=1, batch_size=2, learning_rate=0.1, rng=np.random.default_rng(0),
+            optimizer="rmsprop",
+        )

@@ -43,6 +43,14 @@ def test_config_rejects_bad_values():
         desk_config(network=small_network(10, 10)).validate()  # grid mismatch
     with pytest.raises(ValueError):
         desk_config(network=small_network(12, 8, filters=(4, 3))).validate()
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        desk_config(master_seed=-1).validate()
+    # one update per station: trimming 1 per side needs 3 stations, and the
+    # config is rejected before pre-training, not in round 1
+    trim = aggregation.Aggregator(kind="trimmed_mean", trim_a=1)
+    with pytest.raises(ValueError, match="trim_a=1 needs more than 2 updates"):
+        desk_config(n_sbs=2, aggregator=trim).validate()
+    desk_config(n_sbs=3, aggregator=trim).validate()
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -160,13 +168,19 @@ def test_local_training_loss_mostly_non_increasing():
 # --------------------------- evaluate ---------------------------------------
 
 def test_evaluate_matches_loop_oracle():
-    cfg = desk_config()
+    cfg = desk_config(
+        aggregator=aggregation.Aggregator(kind="trimmed_mean", trim_a=1), master_seed=4,
+        attack=AttackPlan(mode="reverse", deployment="targeted", ratio=0.5, target_sbs=1),
+    )
     params, pre, val = pretrain(cfg)
     caches = channel.generate_round_caches(
         cfg.channel, [5, 4], np.random.default_rng(5), uid_start=10_000
     )
     caches[0].samples[1] = dataclasses.replace(caches[0].samples[1], provenance="reverse")
-    record = evaluate(cfg.network, params, caches, val, round_index=3)
+    record = evaluate(cfg, params, caches, val, round_index=3)
+    # the labels come from the config
+    assert (record.round, record.aggregator, record.seed) == (3, "trimmed_mean(a=1)", 4)
+    assert (record.attack_mode, record.deployment, record.r_a) == ("reverse", "targeted", 0.5)
 
     def mean_mse(samples):
         vals = []
@@ -188,7 +202,9 @@ def test_evaluate_no_poison_and_perfect_model():
     caches = channel.generate_round_caches(
         cfg.channel, [4], np.random.default_rng(6), uid_start=20_000
     )
-    record = evaluate(cfg.network, params, caches, val)
+    record = evaluate(cfg, params, caches, val)
+    assert (record.round, record.aggregator, record.seed) == (0, "fedavg", 1)
+    assert (record.attack_mode, record.deployment, record.r_a) == ("none", "none", 0.0)
     assert record.mse_beta is None
     assert record.mse_gamma is not None
     # a perfect model: evaluate against labels equal to predictions
@@ -196,7 +212,7 @@ def test_evaluate_no_poison_and_perfect_model():
         dataclasses.replace(v, label=nn.forward(cfg.network, params, v.input))
         for v in val
     ]
-    record2 = evaluate(cfg.network, params, [], perfect)
+    record2 = evaluate(cfg, params, [], perfect)
     assert record2.mse_delta == 0.0
     assert record2.mse_gamma is None
 
