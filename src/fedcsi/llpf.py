@@ -44,11 +44,13 @@ def per_sample_losses(
     call over all of them."""
     inputs = np.stack([s.input for s in samples])
     labels = np.stack([s.label for s in samples])
-    pred = nn.forward_batch(spec, global_params, inputs)
-    if pred.shape != labels.shape:
-        raise ValueError(f"label shape {labels.shape} != prediction {pred.shape}")
-    diff = pred - labels
-    return np.mean(diff * diff, axis=(1, 2, 3))
+    diff = nn.forward_batch(spec, global_params, inputs)
+    if diff.shape != labels.shape:
+        raise ValueError(f"label shape {labels.shape} != prediction {diff.shape}")
+    # in place: evaluation scores every sample of a round in one call
+    diff -= labels
+    diff *= diff
+    return np.mean(diff, axis=(1, 2, 3))
 
 
 def trunc_gauss_cdf(x: float, mu: float, k_sigma: float) -> float:

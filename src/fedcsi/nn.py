@@ -10,11 +10,21 @@ network's parameters are one flat float64 vector, read per layer through
 """
 from __future__ import annotations
 
+import atexit
 import ctypes
+import itertools
+import logging
 import math
+import multiprocessing
+import os
+import pickle
 import platform
+import signal
+import subprocess
 import sys
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -25,10 +35,13 @@ SELU_ALPHA = 1.6732632423543772
 SOFTPLUS_CUTOFF = 30.0  # softplus(x) ~ x above this; avoids exp overflow
 _BLOCK_MACS = 1 << 19  # multiply-adds per matrix product in the conv plumbing
 _CHUNK_BYTES = 3 << 18  # widest-layer activation bytes per forward/gradient pass
+_CHUNK_MACS = 1 << 24  # forward multiply-adds per gradient chunk and per shared part
 _NARROW = 16  # a layer with more channels on a side stores its buffers cells major
 _ALIGN = 64  # a channels-first product spans a multiple of this many cells
 ACTIVATIONS = ("selu", "softplus")
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+log = logging.getLogger(__name__)
 
 
 def _keep_freed_pages_mapped() -> None:
@@ -417,33 +430,46 @@ def _check_input(spec: NetworkSpec, x: np.ndarray) -> None:
         raise ValueError(f"input shape {x.shape} is not (batch,) + spec {spec.input_shape}")
 
 
-def _chunk_size(spec: NetworkSpec) -> int:
-    """Samples per pass of `forward_batch` and `batch_gradient`.
-
-    As many samples as fit _CHUNK_BYTES of the widest layer's activations,
-    and at least one.  A pass's buffers are a few times that activation,
-    so a batch of any size runs in a bounded working set.
-    """
+def _pass_size(spec: NetworkSpec) -> int:
+    """The most samples one forward or gradient pass takes: as many as fit
+    _CHUNK_BYTES of the widest layer's activations, and at least one.  A
+    pass's buffers are a few times that activation, so a batch of any size
+    runs in a bounded working set."""
     h, w, c_in = spec.input_shape
     widest = max(c_in, *(layer.filters for layer in spec.layers))
     return max(1, _CHUNK_BYTES // (8 * h * w * widest))
 
 
+def _sample_macs(spec: NetworkSpec) -> int:
+    """Multiply-adds of one sample's forward."""
+    h, w, c = spec.input_shape
+    macs = 0
+    for layer in spec.layers:
+        macs += h * w * layer.kernel_h * layer.kernel_w * c * layer.filters
+        c = layer.filters
+    return macs
+
+
+def _chunk_size(spec: NetworkSpec) -> int:
+    """Samples per gradient chunk, the unit of the gradient's summation
+    order: at most `_pass_size` samples and _CHUNK_MACS forward
+    multiply-adds, so that even a few large samples make several chunks
+    for the helper processes to share; at least one."""
+    return max(1, min(_pass_size(spec), _CHUNK_MACS // _sample_macs(spec)))
+
+
 def forward_batch(spec: NetworkSpec, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Outputs of a batch, computed in chunks of `_chunk_size` samples; each
-    sample's output is the same bit for bit however the batch is chunked."""
+    """Outputs of a batch, computed in passes of at most `_pass_size`
+    samples; each sample's output is the same bit for bit however the batch
+    is cut and wherever its part is computed."""
     _check_input(spec, xs)
-    weights = layer_params(spec, params)
-    layouts = _layouts(weights)
+    layer_params(spec, params)
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty(xs.shape[:3] + (spec.layers[-1].filters,))
-    step = _chunk_size(spec)
-    for start in range(0, len(xs), step):
-        act = xs[start:start + step].transpose(3, 0, 1, 2)
-        for layer, (kernel, bias), layout in zip(spec.layers, weights, layouts):
-            z = _conv(act, kernel, layout)[0] + bias[:, None, None, None]
-            act = _ACT[layer.activation][0](z)
-        out[start:start + step] = act.transpose(1, 2, 3, 0)
+    start = 0
+    for outputs in _pass_results("forward", spec, params, [xs]):
+        out[start:start + len(outputs)] = outputs
+        start += len(outputs)
     return out
 
 
@@ -464,8 +490,8 @@ def batch_gradient(
 ) -> tuple[np.ndarray, float]:
     """Gradient of the batch-mean MSE w.r.t. the flat params, plus the loss.
 
-    The batch runs in chunks of `_chunk_size` samples, whose kernel and bias
-    gradients add up in chunk order in the views of one flat zero vector.
+    The batch runs in chunks of `_chunk_size` samples, whose gradients and
+    squared errors add up in chunk order, wherever each chunk is computed.
     """
     if inputs.shape[0] == 0:
         raise ValueError("empty batch")
@@ -473,27 +499,36 @@ def batch_gradient(
     output = inputs.shape[:3] + (spec.layers[-1].filters,)
     if targets.shape != output:
         raise ValueError(f"targets shape {targets.shape} != output {output}")
-    weights = layer_params(spec, params)
+    layer_params(spec, params)
     inputs = np.asarray(inputs, dtype=np.float64)
     grad = np.zeros(params.size)
-    grads = layer_params(spec, grad)
+    sse = 0.0
     # batch-mean of per-sample mean MSE: every element carries 1/(A*H*W*C)
     scale = 2.0 / targets.size
-    sse = 0.0
-    step = _chunk_size(spec)
-    for start in range(0, len(inputs), step):
-        sse += _chunk_gradient(spec, weights, inputs[start:start + step],
-                               targets[start:start + step], scale, grads)
+    for chunk_grad, chunk_sse in _pass_results("gradient", spec, params,
+                                               [inputs, targets], scale):
+        grad += chunk_grad
+        sse += chunk_sse
     return grad, sse / targets.size
 
 
-def _chunk_gradient(
-    spec: NetworkSpec, weights: list, inputs: np.ndarray, targets: np.ndarray,
-    scale: float, grads: list,
-) -> float:
-    """Add `scale` times the chunk's gradient of its summed squared error to
-    `grads`; return that summed squared error.  `weights` and `grads` are the
-    `layer_params` views of the parameters and of the gradient."""
+def _forward_pass(spec: NetworkSpec, weights: list, xs: np.ndarray) -> np.ndarray:
+    """Outputs of the samples xs; `weights` are the `layer_params` views."""
+    act = xs.transpose(3, 0, 1, 2)
+    for layer, (kernel, bias), layout in zip(spec.layers, weights, _layouts(weights)):
+        z = _conv(act, kernel, layout)[0] + bias[:, None, None, None]
+        act = _ACT[layer.activation][0](z)
+    return act.transpose(1, 2, 3, 0)
+
+
+def _gradient_chunk(
+    spec: NetworkSpec, weights: list, inputs: np.ndarray, targets: np.ndarray, scale: float,
+) -> tuple[np.ndarray, float]:
+    """`scale` times the chunk's gradient of its summed squared error, as a
+    flat vector, and that summed squared error.  `weights` are the
+    `layer_params` views of the parameters."""
+    grad = np.zeros(sum(kernel.size + bias.size for kernel, bias in weights))
+    grads = layer_params(spec, grad)
     act = inputs.transpose(3, 0, 1, 2)
     saved, derivatives = [], []
     layouts = _layouts(weights)
@@ -521,13 +556,203 @@ def _chunk_gradient(
         # layer 0 needs no input gradient, nor dzp when it unfolds whole
         dzp = _pad(dz, kh, kw, layouts[i][0], flipped=True) \
             if i or _plan(kw, c_in, c_out) != "whole" else None
-        grads[i][0][...] += _kernel_gradient(saved.pop(), dz, dzp, grid, kernel.shape)
-        grads[i][1][...] += dz.sum(axis=(1, 2, 3))
+        grads[i][0][...] = _kernel_gradient(saved.pop(), dz, dzp, grid, kernel.shape)
+        grads[i][1][...] = dz.sum(axis=(1, 2, 3))
         del dz
         if i:
             flipped = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
             da = _correlate(dzp, grid, flipped, layouts[i - 1][1])
-    return sse
+    return grad, sse
+
+
+_TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk}
+
+
+# --------------------------- helper processes ----------------------------
+#
+# A call of more than _CHUNK_MACS forward multiply-adds shares its batch
+# out: it is cut into contiguous parts, one for each _CHUNK_MACS begun and
+# at most one a process; this process computes the first, and each helper
+# process one of the others.  A gradient's parts are whole chunks, and the
+# caller adds the chunks' gradients in chunk order; a forward's samples
+# are placed by position.  Neither depends on where a part is computed, so
+# the bytes are the same whatever the number of helpers.  A smaller call,
+# under about 5 ms of work, stays here: waking an idle helper took 0.33 ms
+# at the median and over a millisecond in the tail, and sharing the desk
+# spec's 48-sample evaluations made them slower.
+#
+# The helpers start at the first call that can use them: one per CPU this
+# process may run on beyond the first, at most _MAX_HELPERS, and none in a
+# multiprocessing child, so that the workers of a process pool stay serial.
+# Each is a child interpreter running `_serve` with BLAS on one thread: not
+# a fork, which warns when BLAS threads exist, nor a multiprocessing spawn,
+# which imports the caller's __main__ again.  A helper exits when its stdin
+# closes, so it does not outlive this process even when that is killed.  A
+# helper that fails has its part computed here, with the same bytes, and a
+# new one starts at the next call.
+
+_MAX_HELPERS = 3
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_pool: list["_Helper"] = []
+_pool_lock = threading.Lock()  # held by the one call that uses the helpers
+
+
+def _helper_count() -> int:
+    """Helpers to run: one per CPU this process may use beyond the first."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return min(_MAX_HELPERS, cpus - 1)
+
+
+def _helpers(most: int) -> list["_Helper"]:
+    """Up to `most` helpers, started as needed."""
+    if most < 1 or multiprocessing.parent_process() is not None:
+        return []
+    want = min(most, _helper_count())
+    while len(_pool) < want:
+        try:
+            _pool.append(_Helper())
+        except OSError as exc:  # no process to be had: compute here
+            log.warning("cannot start an engine helper: %s", exc)
+            break
+    return _pool[:want]
+
+
+def _pass_results(task: str, spec: NetworkSpec, params: np.ndarray, arrays: list, *extra):
+    """The `_TASKS[task]` result of each pass over the per-sample `arrays`,
+    in order.  A batch of more than _CHUNK_MACS forward multiply-adds is
+    cut into contiguous parts: the first is computed here, the others by
+    helpers, unless another thread is using them."""
+    n, chunk = len(arrays[0]), _chunk_size(spec)
+    # the chunks fix a gradient's summation order, so its parts and passes
+    # are whole chunks; a sample's output does not depend on its pass
+    align, step = (chunk, chunk) if task == "gradient" else (1, _pass_size(spec))
+    if not _pool_lock.acquire(blocking=False):
+        yield from _answer(task, spec, params, arrays, extra, step)
+        return
+    helpers = []
+    try:
+        # one part for each _CHUNK_MACS forward multiply-adds begun
+        helpers = _helpers(min(n, -(-n * _sample_macs(spec) // _CHUNK_MACS)) - 1)
+        parts, units = len(helpers) + 1, -(-n // align)
+        cuts = [units * j // parts * align for j in range(parts + 1)]
+        work = [(task, spec, params, [a[lo:hi] for a in arrays], extra, step)
+                for lo, hi in zip(cuts, cuts[1:])]
+        for helper, part in zip(helpers, work[1:]):
+            helper.ask(part)
+        yield from _answer(*work[0])
+        for helper, part in zip(helpers, work[1:]):
+            yield from helper.answers(part)
+    finally:
+        # a call that raised leaves replies unread, which the next call
+        # would take for its own
+        for helper in helpers:
+            if helper.pending:
+                helper.close()
+        _pool_lock.release()
+
+
+def _answer(task: str, spec: NetworkSpec, params: np.ndarray, arrays: list, extra: tuple,
+            step: int):
+    """The results of `task` on each pass of `step` samples of `arrays`."""
+    weights = layer_params(spec, params)
+    for start in range(0, len(arrays[0]), step):
+        yield _TASKS[task](spec, weights, *(a[start:start + step] for a in arrays), *extra)
+
+
+class _Helper:
+    """A child interpreter that answers `_answer` requests over a pipe."""
+
+    def __init__(self) -> None:
+        root = str(Path(__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {root!r}); from fedcsi import nn; nn._serve()"
+        env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1")}
+        self.process = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                        stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self.pending = 0  # replies not read yet
+
+    def ask(self, part: tuple) -> None:
+        _, _, _, arrays, _, step = part
+        self.pending = -(-len(arrays[0]) // step)  # one reply a pass
+        try:
+            _send(self.process.stdin, part)
+        except OSError:
+            pass  # a helper that has gone fails to answer, below
+
+    def answers(self, part: tuple):
+        """The results of `part`: read from the helper, or computed here
+        from the first one it failed to give."""
+        done = 0
+        try:
+            while self.pending:
+                result = pickle.load(self.process.stdout)
+                self.pending -= 1
+                done += 1
+                yield result
+            return
+        except (OSError, EOFError, pickle.UnpicklingError):
+            log.warning("engine helper %d failed; computing its part here", self.process.pid)
+            self.close()
+        yield from itertools.islice(_answer(*part), done, None)
+
+    def close_pipes(self) -> None:
+        for pipe in (self.process.stdin, self.process.stdout):
+            try:
+                pipe.close()
+            except OSError:  # data left unsent to a helper that has gone
+                pass
+
+    def close(self) -> None:
+        """Stop and reap the helper, and drop it from the pool."""
+        self.close_pipes()
+        self.process.kill()
+        self.process.wait()
+        self.pending = 0
+        if self in _pool:
+            _pool.remove(self)
+
+
+def _stop_helpers() -> None:
+    for helper in list(_pool):
+        helper.close()
+
+
+def _forget_helpers() -> None:
+    """In a forked child: let go of the parent's helpers without stopping them."""
+    global _pool_lock
+    _pool_lock = threading.Lock()
+    for helper in _pool:
+        helper.close_pipes()
+    _pool.clear()
+
+
+atexit.register(_stop_helpers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _send(stream, obj) -> None:
+    # protocol 5 pickles a contiguous array's buffer in band but writes one
+    # of 64 KiB or more straight to the stream, and reading it back fills
+    # the new array's buffer straight from the stream: no copy either way
+    pickle.dump(obj, stream, protocol=5)
+    stream.flush()
+
+
+def _serve() -> None:
+    """A helper's loop: answer each request on stdin with its results on
+    stdout, until stdin closes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
+    try:
+        while True:
+            # all results first: a pipe holds 64 KiB, and the parent reads
+            # them only once it has computed its own part
+            for result in list(_answer(*pickle.load(sys.stdin.buffer))):
+                _send(replies, result)
+    except (EOFError, pickle.UnpicklingError, BrokenPipeError):
+        os._exit(0)  # the parent has gone; there is nothing to flush
 
 
 # --------------------------- training ------------------------------------

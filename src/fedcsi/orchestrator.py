@@ -115,14 +115,6 @@ def _attack_fields(plan: Optional[attacks.AttackPlan]) -> tuple[str, str, float]
     return plan.mode, plan.deployment, plan.ratio
 
 
-def _mean_sample_mse(
-    spec: nn.NetworkSpec, params: np.ndarray, samples: list
-) -> Optional[float]:
-    if not samples:
-        return None
-    return float(llpf.per_sample_losses(spec, params, samples).sum()) / len(samples)
-
-
 def evaluate(
     config: ExperimentConfig,
     params: np.ndarray,
@@ -132,19 +124,23 @@ def evaluate(
     round_index: int = 0,
 ) -> MetricsRecord:
     """Three-way metric split: authentic cache data, validation, poisoned;
-    labelled with the config's aggregator, attack and master seed."""
+    labelled with the config's aggregator, attack and master seed.  All
+    three sets are scored in one engine call; a sample's loss does not
+    depend on its place in it."""
     if not validation:
         raise ValueError("validation set must be non-empty")
-    spec = config.network
     authentic = [s for c in caches for s in c.samples if s.provenance == "authentic"]
     poisoned = [s for c in caches for s in c.samples if s.provenance != "authentic"]
-    delta = _mean_sample_mse(spec, params, validation)
+    losses = llpf.per_sample_losses(config.network, params, [*validation, *authentic, *poisoned])
+    delta, gamma, beta = (float(part.sum()) / len(part) if len(part) else None
+                          for part in np.split(losses, [len(validation),
+                                                        len(validation) + len(authentic)]))
     mode, deployment, r_a = _attack_fields(config.attack)
     return MetricsRecord(
         round=round_index,
-        mse_gamma=_mean_sample_mse(spec, params, authentic),
-        mse_delta=delta if delta is not None else 0.0,
-        mse_beta=_mean_sample_mse(spec, params, poisoned),
+        mse_gamma=gamma,
+        mse_delta=delta,
+        mse_beta=beta,
         aggregator=config.aggregator.describe(),
         attack_mode=mode,
         deployment=deployment,

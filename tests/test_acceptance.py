@@ -214,3 +214,48 @@ def test_c10_determinism(tmp_path):
         repeat_ok and sweep_ok,
         f"{len(serial_files)} sweep files compared",
     )
+
+
+def test_c10_bytes_do_not_depend_on_engine_helpers(tmp_path, monkeypatch):
+    # the engine shares the work of a call with helper processes: the
+    # default-spec run shares each Adam step, LLPF scoring and evaluation,
+    # the desk FedBE run its 64-sample pre-training, ensemble forward and
+    # distillation
+    import json
+    default_spec = {
+        "n_sbs": 2, "rounds": 2, "cache_len_lo": 3, "cache_len_hi": 4, "i_min": 4,
+        "pretrain_size": 4, "validation_size": 4, "epochs": 1, "batch_size": 4,
+        "learning_rate": 1e-3, "channel": {"gain_scale": 3.0},
+        "attack": {"mode": "reverse", "deployment": "widespread", "ratio": 0.25},
+        "aggregator": {"kind": "stomedian"}, "llpf": {"enabled": True}, "master_seed": 3,
+    }
+    desk_fedbe = {
+        "n_sbs": 3, "rounds": 2, "cache_len_lo": 6, "cache_len_hi": 8, "i_min": 8,
+        "pretrain_size": 64, "validation_size": 8, "pretrain_epochs": 1, "epochs": 1,
+        "batch_size": 64, "learning_rate": 2e-3,
+        "network": {"input_height": 36, "input_width": 10,
+                    "layers": [[3, 3, 10, "selu"], [3, 3, 6, "softplus"], [3, 3, 2, "selu"]]},
+        "channel": {"grid_height": 36, "grid_width": 10, "path_count": 12,
+                    "max_delay_taps": 1, "doppler_spread": 0.02, "pilot_noise_stddev": 0.15},
+        "attack": {"mode": "collusion", "deployment": "targeted", "ratio": 0.2, "target_sbs": 0},
+        "aggregator": {"kind": "fedbe", "fedbe_samples": 3, "fedbe_distill_epochs": 2},
+        "master_seed": 4,
+    }
+    same = []
+    try:
+        for name, config in (("default", default_spec), ("desk-fedbe", desk_fedbe)):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(config))
+            outputs = []
+            for count in (0, 1, 2):
+                monkeypatch.setattr(nn, "_helper_count", lambda count=count: count)
+                out = tmp_path / f"{name}-{count}"
+                assert cli.run(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+                outputs.append((out / "metrics.csv").read_bytes())
+            same.append(outputs[1] == outputs[0] and outputs[2] == outputs[0])
+    finally:
+        nn._stop_helpers()
+    _report(
+        "criterion 10 (byte-identical runs with 0, 1 and 2 engine helpers)",
+        all(same), "default-spec and desk FedBE runs compared",
+    )

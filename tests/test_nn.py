@@ -1,8 +1,12 @@
+import logging
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +447,216 @@ def test_gradient_working_set_does_not_grow_with_batch(spec):
             tracemalloc.stop()
 
     assert peak_bytes(64) <= 2 * peak_bytes(chunk)
+
+
+def test_chunk_size_of_the_default_and_desk_specs():
+    # a default-spec Adam step of batch 4 spans two chunks, so that a helper
+    # process can take one; the desk spec stays at its byte bound of 27
+    assert nn._chunk_size(nn.default_network_spec()) == 2
+    assert nn._pass_size(nn.default_network_spec()) == 4
+    assert nn._chunk_size(desk_spec()) == nn._pass_size(desk_spec()) == 27
+
+
+# --------------------------- helper processes -----------------------------
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Set the number of engine helper processes; stop them all afterwards."""
+    yield lambda count: monkeypatch.setattr(nn, "_helper_count", lambda: count)
+    nn._stop_helpers()
+
+
+def _default_batch(batch, seed=63):
+    spec = nn.default_network_spec()
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(batch,) + spec.input_shape)
+    ys = rng.normal(size=(batch,) + spec.input_shape[:2] + (2,))
+    return spec, nn.init_params(spec, seed), xs, ys
+
+
+def _engine_bytes(spec, p, xs, ys):
+    grad, loss = nn.batch_gradient(spec, p, xs, ys)
+    return nn.forward_batch(spec, p, xs).tobytes(), grad.tobytes(), loss
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 64])
+def test_engine_bytes_do_not_depend_on_the_helper_count(helpers, batch):
+    spec, p, xs, ys = _default_batch(batch)
+    # one part for each 2^24 forward multiply-adds begun: 1, 1, 2 and 25
+    parts = -(-batch * nn._sample_macs(spec) // nn._CHUNK_MACS)
+    results = []
+    for count in (0, 1, 2):
+        helpers(count)
+        results.append(_engine_bytes(spec, p, xs, ys))
+        assert len(nn._pool) >= min(count, parts - 1)
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_one_cpu_starts_no_helper(monkeypatch):
+    nn._stop_helpers()
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    spec, p, xs, ys = _default_batch(6)
+    nn.batch_gradient(spec, p, xs, ys)
+    assert nn._pool == []
+
+
+@pytest.mark.parametrize("when", ["between calls", "during a call"])
+def test_killed_helper_has_its_part_computed_here(helpers, monkeypatch, caplog, when):
+    # the call finishes with the same bytes, and the next one starts a new helper
+    spec, p, xs, ys = _default_batch(5)
+    helpers(0)
+    want = _engine_bytes(spec, p, xs, ys)
+    helpers(1)
+    nn.forward_batch(spec, p, xs)
+    victim = nn._pool[0].process
+
+    def kill():
+        if victim.poll() is None:
+            victim.kill()
+            victim.wait()
+
+    if when == "between calls":
+        kill()
+    else:
+        # the helper dies while this process computes its own chunks
+        def killing(task):
+            def run(*args):
+                kill()
+                return task(*args)
+            return run
+
+        for name, task in dict(nn._TASKS).items():
+            monkeypatch.setitem(nn._TASKS, name, killing(task))
+    with caplog.at_level(logging.WARNING, logger="fedcsi.nn"):
+        assert _engine_bytes(spec, p, xs, ys) == want
+    assert f"engine helper {victim.pid} failed" in caplog.text
+    assert victim not in [h.process for h in nn._pool]
+    assert _engine_bytes(spec, p, xs, ys) == want
+    assert len(nn._pool) == 1 and nn._pool[0].process.poll() is None
+
+
+def test_helper_that_cannot_start_leaves_its_part_here(helpers, monkeypatch, caplog):
+    spec, p, xs, ys = _default_batch(5)
+    helpers(0)
+    want = _engine_bytes(spec, p, xs, ys)
+    nn._stop_helpers()
+    helpers(1)
+
+    def no_process(*args, **kwargs):
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    with caplog.at_level(logging.WARNING, logger="fedcsi.nn"):
+        assert _engine_bytes(spec, p, xs, ys) == want
+    assert "cannot start an engine helper" in caplog.text
+    assert nn._pool == []
+
+
+def test_call_that_raises_leaves_no_reply_behind(helpers, monkeypatch):
+    # the helper of a call that raised holds replies nobody read; the next
+    # call must not take them for its own
+    spec, p, xs, ys = _default_batch(4)
+    helpers(0)
+    want = _engine_bytes(spec, p, xs, ys)
+    helpers(1)
+    other = _default_batch(4, seed=64)
+    nn.batch_gradient(*other)
+    gradient = nn._TASKS["gradient"]
+
+    def fail(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(nn._TASKS, "gradient", fail)
+    with pytest.raises(KeyboardInterrupt):
+        nn.batch_gradient(*other)
+    monkeypatch.setitem(nn._TASKS, "gradient", gradient)
+    assert _engine_bytes(spec, p, xs, ys) == want
+
+
+def test_threads_share_the_helpers_safely(helpers):
+    # one thread at a time uses the helpers; the others compute their
+    # chunks themselves, so no thread reads another's replies
+    helpers(1)
+    batches = [_default_batch(4, seed=70 + i) for i in range(4)]
+    want = [nn.batch_gradient(*b)[0].tobytes() for b in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+            futures = [pool.submit(lambda b: [nn.batch_gradient(*b)[0].tobytes()
+                                              for _ in range(5)], b) for b in batches]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[w] * 5 for w in want]
+
+
+_HELPER_PROBE = """
+import sys, time
+import numpy as np
+from fedcsi import nn
+nn._helper_count = lambda: 1
+spec = nn.default_network_spec()
+nn.forward_batch(spec, nn.init_params(spec, 0), np.zeros((4,) + spec.input_shape))
+print(*(h.process.pid for h in nn._pool), flush=True)
+if sys.argv[1] == "sigkill":
+    time.sleep(60)  # until killed
+"""
+
+
+def _running(pid):
+    """Whether process pid exists and is not a zombie."""
+    stat = subprocess.run(["ps", "-o", "stat=", "-p", str(pid)], capture_output=True, text=True)
+    return stat.returncode == 0 and not stat.stdout.strip().startswith("Z")
+
+
+def _probe_env():
+    paths = [str(Path(nn.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+@pytest.mark.parametrize("end", ["exit", "sigkill"])
+def test_helpers_do_not_outlive_their_process(end):
+    probe = subprocess.Popen([sys.executable, "-c", _HELPER_PROBE, end], env=_probe_env(),
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(pid) for pid in probe.stdout.readline().split()]
+        if end == "sigkill":
+            probe.kill()
+        probe.wait(timeout=60)
+    finally:
+        if probe.poll() is None:
+            probe.kill()
+            probe.wait()
+        probe.stdout.close()
+    assert len(pids) == 1
+    deadline = time.monotonic() + 5
+    try:
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
+def _helpers_started_in_worker():
+    nn._helper_count = lambda: 1
+    spec, p, xs, _ = _default_batch(4)
+    nn.forward_batch(spec, p, xs)
+    return len(nn._pool)
+
+
+def test_process_pool_worker_starts_no_helper(helpers):
+    helpers(1)
+    spec, p, xs, _ = _default_batch(4)
+    nn.forward_batch(spec, p, xs)  # a forked worker inherits this helper
+    assert len(nn._pool) == 1
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(_helpers_started_in_worker).result() == 0
 
 
 # --------------------------- layer_params ---------------------------------

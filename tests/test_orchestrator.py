@@ -90,8 +90,8 @@ def test_pretrain_shapes_and_improvement():
     assert len(pre) == cfg.pretrain_size
     assert len(val) == cfg.validation_size
     init_seed_params, _, _ = pretrain(dataclasses.replace(cfg, pretrain_epochs=0))
-    before = orchestrator._mean_sample_mse(cfg.network, init_seed_params, val)
-    after = orchestrator._mean_sample_mse(cfg.network, params, val)
+    before = llpf.per_sample_losses(cfg.network, init_seed_params, val).mean()
+    after = llpf.per_sample_losses(cfg.network, params, val).mean()
     assert after < before
 
 
