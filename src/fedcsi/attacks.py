@@ -120,8 +120,5 @@ def poison_caches(
             else:  # outdate
                 samples[idx] = outdate_label(
                     victim, plan.outdate_lag, plan.outdate_pool_depth, rng)
-        out.append(CachedDataset(
-            samples=samples, sbs_id=cache.sbs_id, round_index=cache.round_index,
-            aggregation_len=cache.aggregation_len,
-        ))
+        out.append(replace(cache, samples=samples))
     return out

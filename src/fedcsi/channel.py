@@ -9,7 +9,7 @@ Complex grids are carried as two real channels (real, imaginary).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -214,9 +214,4 @@ def topup_with_pretrain(
     use_replacement = len(pretrain_set) < deficit
     idx = rng.choice(len(pretrain_set), size=deficit, replace=use_replacement)
     extra = [pretrain_set[i] for i in idx]
-    return CachedDataset(
-        samples=list(cache.samples) + extra,
-        sbs_id=cache.sbs_id,
-        round_index=cache.round_index,
-        aggregation_len=cache.aggregation_len,
-    )
+    return replace(cache, samples=list(cache.samples) + extra)

@@ -183,23 +183,38 @@ def metrics_to_csv(records: list[MetricsRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_metrics_csv(path, records: list[MetricsRecord]) -> None:
-    _atomic_write(Path(path), metrics_to_csv(records))
-
-
 def read_metrics_csv(path) -> list[dict]:
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
-            raise ValueError(f"{path}: unexpected CSV header {reader.fieldnames}")
-        rows = []
-        for row in reader:
-            parsed = dict(row)
-            parsed["round"] = int(row["round"])
-            for key in ("mse_gamma", "mse_delta", "mse_beta"):
-                parsed[key] = float(row[key]) if row[key] else None
-            rows.append(parsed)
+        return _metrics_rows(fh, path)
+
+
+def _metrics_rows(lines, source) -> list[dict]:
+    """The rows of a metrics CSV given as an iterable of lines."""
+    reader = csv.DictReader(lines)
+    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
+        raise ValueError(f"{source}: unexpected CSV header {reader.fieldnames}")
+    rows = []
+    for row in reader:
+        parsed = dict(row)
+        parsed["round"] = int(row["round"])
+        for key in ("mse_gamma", "mse_delta", "mse_beta"):
+            parsed[key] = float(row[key]) if row[key] else None
+        rows.append(parsed)
     return rows
+
+
+def _write_all(out: Path, files: list[tuple[str, str]]) -> None:
+    """Write each (name, text) file under `out` atomically: all of them, or
+    none if one write fails."""
+    written: list[Path] = []
+    try:
+        for name, text in files:
+            _atomic_write(out / name, text)
+            written.append(out / name)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 # --------------------------- plotting --------------------------------------
@@ -228,19 +243,6 @@ def _series_for_metric(rows: list[dict], metric: str):
     return series
 
 
-def plot_metrics(rows: list[dict], out_dir: Path, prefix: str = "plot") -> list[Path]:
-    written = []
-    for metric in ("mse_gamma", "mse_delta", "mse_beta"):
-        series = _series_for_metric(rows, metric)
-        if not series:
-            continue
-        svg = plotting.render_line_chart(series, title=metric, y_label=metric)
-        path = out_dir / f"{prefix}_{metric}.svg"
-        _atomic_write(path, svg)
-        written.append(path)
-    return written
-
-
 # --------------------------- baselines -------------------------------------
 
 def baseline_modes(config: ExperimentConfig) -> tuple[ExperimentConfig, ExperimentConfig]:
@@ -254,21 +256,41 @@ def baseline_modes(config: ExperimentConfig) -> tuple[ExperimentConfig, Experime
 
 # --------------------------- commands --------------------------------------
 
-def _run_cell(args: tuple[ExperimentConfig, str]) -> tuple[str, str]:
-    config, name = args
-    records = run_experiment(config)
-    return name, metrics_to_csv(records)
-
-
-def _cmd_run(args) -> int:
+def _config(args) -> ExperimentConfig:
+    """The `--config` file, with `--seed` as its master seed if given."""
     config = parse_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    config.validate()
-    records = run_experiment(config)
+    return config
+
+
+def _run_cell(cell: tuple[str, ExperimentConfig]) -> tuple[str, str]:
+    name, config = cell
+    return name, metrics_to_csv(run_experiment(config))
+
+
+def _run_cells(cells: list[tuple[str, ExperimentConfig]], jobs: int = 1
+               ) -> list[tuple[str, str]]:
+    """The (file name, metrics CSV) of each (file name, config) cell, in
+    order, from `jobs` worker processes; every cell is checked before the
+    first experiment runs."""
+    names = set()
+    for name, config in cells:
+        if name in names:
+            raise ConfigError(f"two cells would write {name}")
+        names.add(name)
+        config.validate()
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_run_cell, cells))
+    return [_run_cell(cell) for cell in cells]
+
+
+def _cmd_run(args) -> int:
     out = Path(args.out)
-    write_metrics_csv(out / "metrics.csv", records)
-    print(f"wrote {out / 'metrics.csv'} ({len(records)} rows)")
+    files = _run_cells([("metrics.csv", _config(args))])
+    _write_all(out, files)
+    print(f"wrote {out / 'metrics.csv'} ({len(files[0][1].splitlines()) - 1} rows)")
     return 0
 
 
@@ -285,9 +307,7 @@ def _sweep_attack(base: Optional[AttackPlan], mode: str, deployment: str,
 
 
 def _cmd_sweep(args) -> int:
-    config = parse_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
+    config = _config(args)
     base_attack = config.attack
     aggregators = args.aggregators.split(",") if args.aggregators else [config.aggregator.kind]
     modes = args.attack_modes.split(",") if args.attack_modes else (
@@ -297,83 +317,53 @@ def _cmd_sweep(args) -> int:
     ratios = [float(x) for x in args.ratios.split(",")] if args.ratios else (
         [base_attack.ratio] if base_attack else [0.0])
     seeds = [int(x) for x in args.seeds.split(",")] if args.seeds else [config.master_seed]
-    for agg in aggregators:
-        if agg not in AGGREGATOR_KINDS:
-            raise ConfigError(f"unknown aggregator {agg!r}")
-    for mode in modes:
-        if mode != "none" and mode not in ATTACK_MODES:
-            raise ConfigError(f"unknown attack mode {mode!r}")
-    for dep in deployments:
-        if dep not in DEPLOYMENTS:
-            raise ConfigError(f"unknown deployment {dep!r}")
+    for axis, values, known in (("aggregator", aggregators, AGGREGATOR_KINDS),
+                                ("attack mode", modes, ("none", *ATTACK_MODES)),
+                                ("deployment", deployments, DEPLOYMENTS)):
+        for value in values:
+            if value not in known:
+                raise ConfigError(f"unknown {axis} {value!r}")
 
-    cells = []
-    for agg, mode, dep, ratio, seed in itertools.product(
-            aggregators, modes, deployments, ratios, seeds):
-        cell_cfg = dataclasses.replace(
+    cells = [
+        (f"run_{agg}_{mode}_{dep}_ra{ratio:g}_seed{seed}.csv", dataclasses.replace(
             config,
             aggregator=dataclasses.replace(config.aggregator, kind=agg),
             attack=_sweep_attack(base_attack, mode, dep, ratio),
             master_seed=seed,
-        )
-        cell_cfg.validate()
-        name = f"run_{agg}_{mode}_{dep}_ra{ratio:g}_seed{seed}.csv"
-        cells.append((cell_cfg, name))
-
+        ))
+        for agg, mode, dep, ratio, seed in itertools.product(
+            aggregators, modes, deployments, ratios, seeds)
+    ]
+    files = _run_cells(cells, args.jobs)
+    rows = [row for name, text in files for row in _metrics_rows(text.splitlines(), name)]
+    svg = plotting.render_line_chart(
+        _series_for_metric(rows, "mse_delta"), title="mse_delta", y_label="mse_delta")
+    files.append(("sweep_mse_delta.svg", svg))
     out = Path(args.out)
-    written: list[Path] = []
-    try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_run_cell, cells))
-        else:
-            results = [_run_cell(cell) for cell in cells]
-        all_rows = []
-        for name, text in results:
-            path = out / name
-            _atomic_write(path, text)
-            written.append(path)
-        for path in written:
-            all_rows.extend(read_metrics_csv(path))
-        series = _series_for_metric(all_rows, "mse_delta")
-        svg = plotting.render_line_chart(series, title="mse_delta", y_label="mse_delta")
-        _atomic_write(out / "sweep_mse_delta.svg", svg)
-        written.append(out / "sweep_mse_delta.svg")
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    print(f"wrote {len(written)} files to {out}")
+    _write_all(out, files)
+    print(f"wrote {len(files)} files to {out}")
     return 0
 
 
 def _cmd_plot(args) -> int:
-    rows = []
-    for path in args.csv:
-        rows.extend(read_metrics_csv(path))
-    written = plot_metrics(rows, Path(args.out))
-    print(f"wrote {len(written)} plots to {args.out}")
+    rows = [row for path in args.csv for row in read_metrics_csv(path)]
+    files = []
+    for metric in ("mse_gamma", "mse_delta", "mse_beta"):
+        series = _series_for_metric(rows, metric)
+        if series:
+            svg = plotting.render_line_chart(series, title=metric, y_label=metric)
+            files.append((f"plot_{metric}.svg", svg))
+    _write_all(Path(args.out), files)
+    print(f"wrote {len(files)} plots to {args.out}")
     return 0
 
 
 def _cmd_baselines(args) -> int:
-    config = parse_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
     out = Path(args.out)
-    written = []
-    try:
-        for name, cfg in zip(("baseline1", "baseline2"), baseline_modes(config)):
-            cfg.validate()
-            records = run_experiment(cfg)
-            path = out / f"{name}.csv"
-            write_metrics_csv(path, records)
-            written.append(path)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    print(f"wrote {len(written)} baselines to {out}")
+    files = _run_cells(list(zip(("baseline1.csv", "baseline2.csv"),
+                                baseline_modes(_config(args)))))
+    _write_all(out, files)
+    print(f"wrote {len(files)} baselines to {out}")
     return 0
 
 
@@ -395,16 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment, write metrics.csv")
-    run_p.add_argument("--config", required=True)
-    run_p.add_argument("--out", required=True)
-    run_p.add_argument("--seed", type=int, default=None)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--out", required=True)
+    common.add_argument("--seed", type=int, default=None)
+
+    run_p = sub.add_parser("run", parents=[common], help="run one experiment, write metrics.csv")
     run_p.set_defaults(func=_cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="run a grid of experiments")
-    sweep_p.add_argument("--config", required=True)
-    sweep_p.add_argument("--out", required=True)
-    sweep_p.add_argument("--seed", type=int, default=None)
+    sweep_p = sub.add_parser("sweep", parents=[common], help="run a grid of experiments")
     sweep_p.add_argument("--aggregators", default=None, help="comma list")
     sweep_p.add_argument("--attack-modes", dest="attack_modes", default=None)
     sweep_p.add_argument("--deployments", default=None)
@@ -419,10 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     plot_p.add_argument("--out", required=True)
     plot_p.set_defaults(func=_cmd_plot)
 
-    base_p = sub.add_parser("baselines", help="run the two attack-free baselines")
-    base_p.add_argument("--config", required=True)
-    base_p.add_argument("--out", required=True)
-    base_p.add_argument("--seed", type=int, default=None)
+    base_p = sub.add_parser("baselines", parents=[common],
+                            help="run the two attack-free baselines")
     base_p.set_defaults(func=_cmd_baselines)
     return parser
 

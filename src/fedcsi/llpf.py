@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -109,7 +109,4 @@ def filter_cache(
     for idx in np.flatnonzero(untrusted):
         pick = trusted_idx[int(rng.integers(trusted_idx.size))]
         samples[idx] = cache.samples[pick]
-    return CachedDataset(
-        samples=samples, sbs_id=cache.sbs_id, round_index=cache.round_index,
-        aggregation_len=cache.aggregation_len,
-    )
+    return replace(cache, samples=samples)

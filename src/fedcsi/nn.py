@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import atexit
 import ctypes
-import itertools
 import logging
 import math
 import multiprocessing
@@ -642,9 +641,9 @@ def _pass_results(task: str, spec: NetworkSpec, params: np.ndarray, arrays: list
             helper.ask(part)
         yield from _answer(*work[0])
         for helper, part in zip(helpers, work[1:]):
-            yield from helper.answers(part)
+            yield from helper.answer(part)
     finally:
-        # a call that raised leaves replies unread, which the next call
+        # a call that raised leaves a reply unread, which the next call
         # would take for its own
         for helper in helpers:
             if helper.pending:
@@ -669,31 +668,26 @@ class _Helper:
         env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1")}
         self.process = subprocess.Popen([sys.executable, "-c", code], env=env,
                                         stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        self.pending = 0  # replies not read yet
+        self.pending = False  # a reply not read yet
 
     def ask(self, part: tuple) -> None:
-        _, _, _, arrays, _, step = part
-        self.pending = -(-len(arrays[0]) // step)  # one reply a pass
+        self.pending = True
         try:
             _send(self.process.stdin, part)
         except OSError:
             pass  # a helper that has gone fails to answer, below
 
-    def answers(self, part: tuple):
-        """The results of `part`: read from the helper, or computed here
-        from the first one it failed to give."""
-        done = 0
+    def answer(self, part: tuple):
+        """The results of `part`: the helper's one reply, or all of them
+        computed here if it fails to give it."""
         try:
-            while self.pending:
-                result = pickle.load(self.process.stdout)
-                self.pending -= 1
-                done += 1
-                yield result
-            return
+            results = pickle.load(self.process.stdout)
+            self.pending = False
+            return results
         except (OSError, EOFError, pickle.UnpicklingError):
             log.warning("engine helper %d failed; computing its part here", self.process.pid)
             self.close()
-        yield from itertools.islice(_answer(*part), done, None)
+        return _answer(*part)
 
     def close_pipes(self) -> None:
         for pipe in (self.process.stdin, self.process.stdout):
@@ -707,7 +701,7 @@ class _Helper:
         self.close_pipes()
         self.process.kill()
         self.process.wait()
-        self.pending = 0
+        self.pending = False
         if self in _pool:
             _pool.remove(self)
 
@@ -740,17 +734,16 @@ def _send(stream, obj) -> None:
 
 
 def _serve() -> None:
-    """A helper's loop: answer each request on stdin with its results on
-    stdout, until stdin closes."""
+    """A helper's loop: answer each request on stdin with the list of its
+    results on stdout, until stdin closes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
     try:
         while True:
-            # all results first: a pipe holds 64 KiB, and the parent reads
-            # them only once it has computed its own part
-            for result in list(_answer(*pickle.load(sys.stdin.buffer))):
-                _send(replies, result)
+            # one reply for the whole request, so that the parent reads
+            # exactly one whatever passes the part was cut into
+            _send(replies, list(_answer(*pickle.load(sys.stdin.buffer))))
     except (EOFError, pickle.UnpicklingError, BrokenPipeError):
         os._exit(0)  # the parent has gone; there is nothing to flush
 

@@ -224,6 +224,7 @@ def _exclude_authentic(
             continue
         removed = set(rng.choice(cache.l_n, size=drop, replace=False).tolist())
         kept = [s for i, s in enumerate(cache.samples) if i not in removed]
+        # a new cache, not a copy: the kept count is the aggregation weight
         out.append(channel.CachedDataset(
             samples=kept, sbs_id=cache.sbs_id, round_index=cache.round_index,
         ))
@@ -247,13 +248,9 @@ def _build_round_caches(state: FederationState, config: ExperimentConfig, t: int
     if plan is not None and plan.ratio > 0.0:
         caches = attacks.poison_caches(caches, plan, derive_rng(seed, "poison", t))
         if plan.mode == "collusion" and plan.collusion_payload is None:
-            for cache in caches:
-                for s in cache.samples:
-                    if s.provenance == "collusion":
-                        plan = replace(plan, collusion_payload=s.label)
-                        break
-                if plan.collusion_payload is not None:
-                    break
+            # all colluded samples of a round share one label array, if any
+            plan = replace(plan, collusion_payload=next((
+                s.label for c in caches for s in c.samples if s.provenance == "collusion"), None))
     caches = [
         channel.topup_with_pretrain(
             cache, state.pretrain_set, config.i_min,
@@ -294,24 +291,16 @@ def run_round(
         for cache in filtered
     ]
     for update in updates:
-        bad = np.flatnonzero(~np.isfinite(update.params))
-        if bad.size:
-            raise RuntimeError(
-                f"station {update.sbs_id} diverged in round {t}: its local update "
-                f"has a non-finite value at coordinate {int(bad[0])}"
-            )
+        _check_finite(update.params, lambda i: f"station {update.sbs_id} diverged in round "
+                      f"{t}: its local update has a non-finite value at coordinate {i}")
     new_params = aggregation.aggregate(
         updates, config.aggregator,
         rng=derive_rng(seed, "aggregate", t),
         distill_set=state.pretrain_set, spec=config.network,
         learning_rate=config.learning_rate, batch_size=config.batch_size,
     )
-    bad = np.flatnonzero(~np.isfinite(new_params))
-    if bad.size:
-        raise RuntimeError(
-            f"aggregator {config.aggregator.describe()} produced a non-finite "
-            f"value at coordinate {int(bad[0])} in round {t}"
-        )
+    _check_finite(new_params, lambda i: f"aggregator {config.aggregator.describe()} "
+                  f"produced a non-finite value at coordinate {i} in round {t}")
     record = evaluate(config, new_params, filtered, state.validation_set, round_index=t)
     new_state = replace(
         state,
@@ -322,6 +311,14 @@ def run_round(
         next_uid=state.next_uid + produced,
     )
     return new_state, record
+
+
+def _check_finite(params: np.ndarray, what) -> None:
+    """Raise a RuntimeError worded `what(coordinate)` at the first non-finite
+    value of params."""
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise RuntimeError(what(int(bad[0])))
 
 
 def _check_validation_separation(caches: list, validation: list) -> None:

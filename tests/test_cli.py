@@ -312,6 +312,25 @@ def test_sweep_rejects_impossible_trim_before_any_run(tmp_path, capsys, monkeypa
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("axis, values, name", [
+    ("--ratios", "0.1,0.10", "run_fedavg_reverse_widespread_ra0.1_seed3.csv"),
+    ("--seeds", "1,1", "run_fedavg_reverse_widespread_ra0.25_seed1.csv"),
+])
+def test_sweep_rejects_a_cell_named_twice(tmp_path, capsys, monkeypatch, axis, values, name):
+    # these once ran the cell twice, wrote one CSV and plotted it twice
+    path = write_tiny_config(
+        tmp_path, attack={"mode": "reverse", "deployment": "widespread", "ratio": 0.25}
+    )
+    out = tmp_path / "s"
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: ran.append(config) or [])
+    code = cli.run(["sweep", "--config", str(path), "--out", str(out), axis, values])
+    assert code == 1
+    assert name in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     # these once ran the sweep serially without a word
@@ -381,3 +400,35 @@ def test_baseline_modes_config_surgery(tmp_path):
     b1, b2 = cli.baseline_modes(cfg)
     assert b1.attack is None and b1.exclude_fraction == 0.0
     assert b2.attack is None and b2.exclude_fraction == 0.2
+
+
+def test_baselines_check_both_configs_before_any_run(tmp_path, capsys, monkeypatch):
+    # at attack ratio 1.0 baseline 2 would exclude every sample; the first
+    # baseline once ran in full before that was found
+    path = write_tiny_config(
+        tmp_path, attack={"mode": "reverse", "deployment": "widespread", "ratio": 1.0}
+    )
+    out = tmp_path / "base"
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: ran.append(config) or [])
+    assert cli.run(["baselines", "--config", str(path), "--out", str(out)]) == 1
+    assert "exclude_fraction must be in [0, 1)" in capsys.readouterr().err
+    assert ran == []
+    assert not list(out.glob("*.csv"))
+
+
+def test_baselines_write_nothing_when_the_second_run_fails(tmp_path, monkeypatch):
+    path = write_tiny_config(tmp_path)
+    out = tmp_path / "base"
+    ran = []
+
+    def second_fails(config):
+        ran.append(config)
+        if len(ran) == 2:
+            raise RuntimeError("station 0 diverged in round 1")
+        return []
+
+    monkeypatch.setattr(cli, "run_experiment", second_fails)
+    assert cli.run(["baselines", "--config", str(path), "--out", str(out)]) == 1
+    assert len(ran) == 2
+    assert not list(out.glob("*.csv"))

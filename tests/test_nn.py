@@ -1,5 +1,6 @@
 import logging
 import os
+import pickle
 import platform
 import signal
 import subprocess
@@ -574,6 +575,27 @@ def test_call_that_raises_leaves_no_reply_behind(helpers, monkeypatch):
         nn.batch_gradient(*other)
     monkeypatch.setitem(nn._TASKS, "gradient", gradient)
     assert _engine_bytes(spec, p, xs, ys) == want
+
+
+def test_helper_answers_a_part_with_one_reply():
+    # the parent reads one reply a part; with one a pass, a helper that cut
+    # its part into other passes than the parent expected left it blocked
+    spec, p, xs, _ = _default_batch(8)
+    part = ("forward", spec, p, [xs], (), nn._pass_size(spec))  # two passes
+    helper = nn._Helper()
+    replies = []
+    try:
+        helper.ask(part)
+        helper.process.stdin.close()
+        while True:
+            try:
+                replies.append(pickle.load(helper.process.stdout))
+            except EOFError:
+                break
+    finally:
+        helper.close()
+    assert len(replies) == 1
+    assert [r.tobytes() for r in replies[0]] == [r.tobytes() for r in nn._answer(*part)]
 
 
 def test_threads_share_the_helpers_safely(helpers):

@@ -287,6 +287,21 @@ def test_collusion_payload_frozen_across_rounds():
         assert np.array_equal(lab, frozen)
 
 
+def test_collusion_payload_stays_open_after_a_round_that_poisons_nothing():
+    # a widespread ratio below 1/l_n poisons no sample of any cache
+    plan = AttackPlan(mode="collusion", deployment="widespread", ratio=0.05)
+    cfg = desk_config(attack=plan, rounds=1, epochs=1)
+    params, pre, val = pretrain(cfg)
+    state = FederationState(
+        round_index=0, global_params=params, pretrain_set=pre,
+        validation_set=val, attack_plan=cfg.attack,
+        next_uid=cfg.pretrain_size + cfg.validation_size,
+    )
+    state, record = run_round(state, cfg)
+    assert state.attack_plan.collusion_payload is None
+    assert record.mse_beta is None
+
+
 def test_llpf_sees_poisoned_caches_and_training_uses_filtered(monkeypatch):
     plan = AttackPlan(mode="reverse", deployment="widespread", ratio=0.3)
     cfg = desk_config(
