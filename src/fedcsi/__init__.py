@@ -35,11 +35,9 @@ from .nn import (
     LayerSpec,
     NetworkSpec,
     default_network_spec,
-    forward,
     forward_batch,
     init_params,
     layer_params,
-    mse_loss,
     param_count,
 )
 from .orchestrator import (

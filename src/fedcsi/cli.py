@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import sys
 import tempfile
 import types
@@ -264,26 +265,31 @@ def _config(args) -> ExperimentConfig:
     return config
 
 
-def _run_cell(cell: tuple[str, ExperimentConfig]) -> tuple[str, str]:
-    name, config = cell
-    return name, metrics_to_csv(run_experiment(config))
+def _run_config(config: ExperimentConfig) -> str:
+    return metrics_to_csv(run_experiment(config))
 
 
 def _run_cells(cells: list[tuple[str, ExperimentConfig]], jobs: int = 1
                ) -> list[tuple[str, str]]:
     """The (file name, metrics CSV) of each (file name, config) cell, in
     order, from `jobs` worker processes; every cell is checked before the
-    first experiment runs."""
+    first experiment runs, and each distinct config runs once."""
     names = set()
     for name, config in cells:
         if name in names:
             raise ConfigError(f"two cells would write {name}")
         names.add(name)
         config.validate()
+    # pickles differ for any two configs that differ; a repr can elide a
+    # large array such as a collusion payload
+    keys = [pickle.dumps(config) for _, config in cells]
+    configs = dict(zip(keys, (config for _, config in cells)))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_cell, cells))
-    return [_run_cell(cell) for cell in cells]
+            texts = dict(zip(configs, pool.map(_run_config, configs.values())))
+    else:
+        texts = {key: _run_config(config) for key, config in configs.items()}
+    return [(name, texts[key]) for (name, _), key in zip(cells, keys)]
 
 
 def _cmd_run(args) -> int:
@@ -324,15 +330,20 @@ def _cmd_sweep(args) -> int:
             if value not in known:
                 raise ConfigError(f"unknown {axis} {value!r}")
 
+    # every attack-free (mode, deployment, ratio) is the one "none" cell
+    attacks = []
+    for mode, dep, ratio in itertools.product(modes, deployments, ratios):
+        attack = _sweep_attack(base_attack, mode, dep, ratio)
+        if attack is not None or all(a is not None for _, a in attacks):
+            attacks.append((f"{mode}_{dep}_ra{ratio:g}" if attack else "none", attack))
     cells = [
-        (f"run_{agg}_{mode}_{dep}_ra{ratio:g}_seed{seed}.csv", dataclasses.replace(
+        (f"run_{agg}_{label}_seed{seed}.csv", dataclasses.replace(
             config,
             aggregator=dataclasses.replace(config.aggregator, kind=agg),
-            attack=_sweep_attack(base_attack, mode, dep, ratio),
+            attack=attack,
             master_seed=seed,
         ))
-        for agg, mode, dep, ratio, seed in itertools.product(
-            aggregators, modes, deployments, ratios, seeds)
+        for agg, (label, attack), seed in itertools.product(aggregators, attacks, seeds)
     ]
     files = _run_cells(cells, args.jobs)
     rows = [row for name, text in files for row in _metrics_rows(text.splitlines(), name)]

@@ -472,18 +472,6 @@ def forward_batch(spec: NetworkSpec, params: np.ndarray, xs: np.ndarray) -> np.n
     return out
 
 
-def forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Run one sample through the network; output keeps the input grid size."""
-    return forward_batch(spec, params, x[None])[0]
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    diff = pred - target
-    return float(np.mean(diff * diff))
-
-
 def batch_gradient(
     spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, float]:

@@ -98,15 +98,14 @@ class MetricsRecord:
     seed: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class FederationState:
     round_index: int
     global_params: np.ndarray
     pretrain_set: list
     validation_set: list
     attack_plan: Optional[attacks.AttackPlan]
-    caches: Optional[list] = None
-    next_uid: int = 0
+    caches: Optional[list] = None  # round one's caches, kept only under persist_caches
 
 
 def _attack_fields(plan: Optional[attacks.AttackPlan]) -> tuple[str, str, float]:
@@ -183,24 +182,25 @@ def pretrain(config: ExperimentConfig) -> tuple[np.ndarray, list, list]:
 
 
 def local_train(
-    spec: nn.NetworkSpec,
     global_params: np.ndarray,
     cache: channel.CachedDataset,
     config: ExperimentConfig,
+    round_index: int,
 ) -> aggregation.WeightUpdate:
-    """Fine-tune a copy of the global model on one cache.
+    """Fine-tune a copy of the global model on one cache in training round
+    `round_index`, which keys the shuffles (a persisted cache keeps round 1).
 
     The reported dataset length is the client-owned (pre-top-up) count, so
     server padding never inflates a station's aggregation weight.
     """
     if cache.l_n == 0:
         raise ValueError("cannot train on an empty cache")
-    rng = derive_rng(config.master_seed, "local-train", cache.round_index, cache.sbs_id)
+    rng = derive_rng(config.master_seed, "local-train", round_index, cache.sbs_id)
     inputs = np.stack([s.input for s in cache.samples])
     labels = np.stack([s.label for s in cache.samples])
     sgd = config.local_mode == "steps_sgd"
     trained = nn.train_minibatch(
-        spec, global_params, inputs, labels,
+        config.network, global_params, inputs, labels,
         epochs=max(config.sgd_steps, 1) if sgd else config.epochs,
         batch_size=config.batch_size, learning_rate=config.learning_rate,
         beta1=config.momentum, rng=rng, optimizer="sgd" if sgd else "adam",
@@ -231,20 +231,23 @@ def _exclude_authentic(
     return out
 
 
-def _build_round_caches(state: FederationState, config: ExperimentConfig, t: int):
+def _build_round_caches(config: ExperimentConfig, t: int,
+                        plan: Optional[attacks.AttackPlan], pretrain_set: list):
+    """Round t's poisoned, topped-up caches and the attack plan after it.
+    A round makes at most n_sbs * cache_len_hi samples, so its uids take
+    their own block after the server sets'."""
     seed = config.master_seed
     lengths = derive_rng(seed, "lengths", t).integers(
         config.cache_len_lo, config.cache_len_hi + 1, size=config.n_sbs
     )
     caches = channel.generate_round_caches(
         config.channel, [int(l) for l in lengths], derive_rng(seed, "caches", t),
-        round_index=t, uid_start=state.next_uid,
+        round_index=t, uid_start=config.pretrain_size + config.validation_size
+        + (t - 1) * config.n_sbs * config.cache_len_hi,
     )
-    produced = int(lengths.sum())
     caches = _exclude_authentic(
         caches, config.exclude_fraction, derive_rng(seed, "exclude", t)
     )
-    plan = state.attack_plan
     if plan is not None and plan.ratio > 0.0:
         caches = attacks.poison_caches(caches, plan, derive_rng(seed, "poison", t))
         if plan.mode == "collusion" and plan.collusion_payload is None:
@@ -253,12 +256,12 @@ def _build_round_caches(state: FederationState, config: ExperimentConfig, t: int
                 s.label for c in caches for s in c.samples if s.provenance == "collusion"), None))
     caches = [
         channel.topup_with_pretrain(
-            cache, state.pretrain_set, config.i_min,
+            cache, pretrain_set, config.i_min,
             derive_rng(seed, "topup", t, cache.sbs_id),
         )
         for cache in caches
     ]
-    return caches, plan, produced
+    return caches, plan
 
 
 def run_round(
@@ -270,11 +273,10 @@ def run_round(
         raise ValueError(f"round {t} exceeds configured horizon {config.rounds}")
     seed = config.master_seed
     plan = state.attack_plan
-    produced = 0
     if config.persist_caches and state.caches is not None:
         caches = state.caches
     else:
-        caches, plan, produced = _build_round_caches(state, config, t)
+        caches, plan = _build_round_caches(config, t, plan, state.pretrain_set)
     _check_validation_separation(caches, state.validation_set)
     if config.llpf.enabled:
         filtered = [
@@ -286,10 +288,7 @@ def run_round(
         ]
     else:
         filtered = caches
-    updates = [
-        local_train(config.network, state.global_params, cache, config)
-        for cache in filtered
-    ]
+    updates = [local_train(state.global_params, cache, config, t) for cache in filtered]
     for update in updates:
         _check_finite(update.params, lambda i: f"station {update.sbs_id} diverged in round "
                       f"{t}: its local update has a non-finite value at coordinate {i}")
@@ -302,14 +301,8 @@ def run_round(
     _check_finite(new_params, lambda i: f"aggregator {config.aggregator.describe()} "
                   f"produced a non-finite value at coordinate {i} in round {t}")
     record = evaluate(config, new_params, filtered, state.validation_set, round_index=t)
-    new_state = replace(
-        state,
-        round_index=t,
-        global_params=new_params,
-        attack_plan=plan,
-        caches=caches if config.persist_caches else filtered,
-        next_uid=state.next_uid + produced,
-    )
+    new_state = replace(state, round_index=t, global_params=new_params, attack_plan=plan,
+                        caches=caches if config.persist_caches else None)
     return new_state, record
 
 
@@ -342,7 +335,6 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
         pretrain_set=pretrain_set,
         validation_set=validation_set,
         attack_plan=config.attack,
-        next_uid=config.pretrain_size + config.validation_size,
     )
     for _ in range(config.rounds):
         state, record = run_round(state, config)

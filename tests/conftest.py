@@ -17,6 +17,18 @@ def small_network(height, width, filters=(6, 4, 2), kernel=3):
     return nn.NetworkSpec(layers=tuple(layers), input_shape=(height, width, 2))
 
 
+def forward_one(spec, params, x):
+    """One sample's output: a batch of one through the engine."""
+    return nn.forward_batch(spec, params, x[None])[0]
+
+
+def mse(pred, target) -> float:
+    """Mean squared error of two arrays of one shape."""
+    assert pred.shape == target.shape, (pred.shape, target.shape)
+    diff = pred - target
+    return float(np.mean(diff * diff))
+
+
 def desk_config(**overrides) -> ExperimentConfig:
     """Small, fast experiment used across the unit suite."""
     height, width = 12, 8

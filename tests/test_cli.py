@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fedcsi import cli
+from fedcsi.attacks import AttackPlan
 from fedcsi.cli import ConfigError, parse_config
 
 TINY = {
@@ -331,6 +332,50 @@ def test_sweep_rejects_a_cell_named_twice(tmp_path, capsys, monkeypatch, axis, v
     assert not out.exists()
 
 
+def count_runs(monkeypatch):
+    """Record the config of every experiment the CLI runs, and run it."""
+    ran = []
+    real = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", lambda config: ran.append(config) or real(config))
+    return ran
+
+
+def test_sweep_runs_the_attack_free_cell_once(tmp_path, monkeypatch):
+    # every (deployment, ratio) of mode none is one experiment; the sweep
+    # once ran it four times, wrote four identical CSVs and plotted each
+    path = write_tiny_config(tmp_path)
+    assert cli.run(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    ran = count_runs(monkeypatch)
+    out = tmp_path / "s"
+    assert cli.run(["sweep", "--config", str(path), "--out", str(out),
+                    "--attack-modes", "none,reverse", "--ratios", "0.1,0.2",
+                    "--deployments", "widespread,targeted"]) == 0
+    assert len(ran) == 5
+    assert sorted(p.name for p in out.glob("*.csv")) == ["run_fedavg_none_seed3.csv"] + [
+        f"run_fedavg_reverse_{dep}_ra{ratio}_seed3.csv"
+        for dep in ("targeted", "widespread") for ratio in ("0.1", "0.2")]
+    assert ((out / "run_fedavg_none_seed3.csv").read_bytes()
+            == (tmp_path / "run" / "metrics.csv").read_bytes())
+    # five series of two rounds each
+    assert (out / "sweep_mse_delta.svg").read_text().count("<circle") == 5 * 2
+
+
+def test_cells_that_differ_deep_in_a_large_payload_both_run(monkeypatch):
+    # numpy elides the middle of a 2016-value array in its repr, so the
+    # two configs' reprs are equal; they must still be two experiments
+    payload = np.zeros((72, 14, 2))
+    moved = payload.copy()
+    moved[36, 7, 0] = 1.0
+    base = cli.config_from_dict({})
+    a = dataclasses.replace(base, attack=AttackPlan(mode="collusion", collusion_payload=payload))
+    b = dataclasses.replace(base, attack=AttackPlan(mode="collusion", collusion_payload=moved))
+    assert repr(a) == repr(b)
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: ran.append(config) or [])
+    cli._run_cells([("a.csv", a), ("b.csv", b)])
+    assert [r.attack.collusion_payload[36, 7, 0] for r in ran] == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     # these once ran the sweep serially without a word
@@ -417,8 +462,21 @@ def test_baselines_check_both_configs_before_any_run(tmp_path, capsys, monkeypat
     assert not list(out.glob("*.csv"))
 
 
-def test_baselines_write_nothing_when_the_second_run_fails(tmp_path, monkeypatch):
+def test_baselines_without_an_attack_run_once(tmp_path, monkeypatch):
+    # both baselines are the attack-free config itself: one experiment
     path = write_tiny_config(tmp_path)
+    ran = count_runs(monkeypatch)
+    out = tmp_path / "base"
+    assert cli.run(["baselines", "--config", str(path), "--out", str(out)]) == 0
+    assert len(ran) == 1
+    assert (out / "baseline1.csv").read_bytes() == (out / "baseline2.csv").read_bytes()
+
+
+def test_baselines_write_nothing_when_the_second_run_fails(tmp_path, monkeypatch):
+    # with an attack the baselines differ (baseline 2 excludes a quarter)
+    path = write_tiny_config(
+        tmp_path, attack={"mode": "reverse", "deployment": "widespread", "ratio": 0.25}
+    )
     out = tmp_path / "base"
     ran = []
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import forward_one
+
 from fedcsi import channel, llpf, nn
 from fedcsi.llpf import LlpfConfig
 from fedcsi.seeds import derive_rng
@@ -51,7 +53,7 @@ def test_per_sample_losses_match_loop_oracle():
     losses = llpf.per_sample_losses(spec, params, cache.samples)
     assert losses.shape == (7,)
     for i, s in enumerate(cache.samples):
-        pred = nn.forward(spec, params, s.input)
+        pred = forward_one(spec, params, s.input)
         manual = 0.0
         for p, y in zip(pred.ravel(), s.label.ravel()):
             manual += (p - y) ** 2

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import forward_one, mse
+
 from fedcsi import nn
 
 
@@ -85,7 +87,7 @@ def test_forward_zero_params_zero_output():
     )
     p = np.zeros(nn.param_count(spec))
     x = np.random.default_rng(0).normal(size=spec.input_shape)
-    out = nn.forward(spec, p, x)
+    out = forward_one(spec, p, x)
     assert out.shape == (6, 5, 2)
     assert np.all(out == 0.0)
 
@@ -100,9 +102,9 @@ def test_selu_hand_value():
     # single 1x1 conv, kernel 1.0, bias 0: output = selu(x)
     spec = nn.NetworkSpec(layers=(nn.LayerSpec(1, 1, 1, "selu"),), input_shape=(1, 1, 1))
     p = np.array([1.0, 0.0])
-    out = nn.forward(spec, p, np.array([[[2.0]]]))
+    out = forward_one(spec, p, np.array([[[2.0]]]))
     assert out[0, 0, 0] == pytest.approx(nn.SELU_LAMBDA * 2.0, rel=1e-15)
-    out_neg = nn.forward(spec, p, np.array([[[-1.0]]]))
+    out_neg = forward_one(spec, p, np.array([[[-1.0]]]))
     expected = nn.SELU_LAMBDA * nn.SELU_ALPHA * (np.exp(-1.0) - 1.0)
     assert out_neg[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -113,7 +115,7 @@ def test_forward_same_padding_against_loop_oracle():
     p = nn.init_params(spec, 9)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 4, 2))
-    out = nn.forward(spec, p, x)
+    out = forward_one(spec, p, x)
     k = nn.layer_params(spec, p)[0][0]
     xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
     for i in range(5):
@@ -182,7 +184,7 @@ def test_forward_shape_mismatch_error():
     spec = tiny_spec()
     p = nn.init_params(spec, 0)
     with pytest.raises(ValueError):
-        nn.forward(spec, p, np.zeros((6, 5, 3)))
+        forward_one(spec, p, np.zeros((6, 5, 3)))
 
 
 @pytest.mark.parametrize("shape", [(72, 14, 2), (2, 3, 72, 14, 2)])
@@ -202,8 +204,8 @@ def test_forward_deterministic_bitwise():
     spec = tiny_spec()
     p = nn.init_params(spec, 3)
     x = np.random.default_rng(2).normal(size=spec.input_shape)
-    a = nn.forward(spec, p, x)
-    b = nn.forward(spec, p, x)
+    a = forward_one(spec, p, x)
+    b = forward_one(spec, p, x)
     assert np.array_equal(a, b)
 
 
@@ -216,28 +218,7 @@ def test_forward_batch_matches_single():
     batched = nn.forward_batch(spec, p, xs)
     assert np.array_equal(batched, nn.forward_batch(spec, p, xs))
     for i in range(10):
-        assert np.allclose(batched[i], nn.forward(spec, p, xs[i]), rtol=1e-12, atol=1e-15)
-
-
-# --------------------------- mse_loss -------------------------------------
-
-def test_mse_trivial():
-    x = np.array([1.0, 3.0])
-    assert nn.mse_loss(x, x) == 0.0
-    assert nn.mse_loss(np.array([1.0, 3.0]), np.array([0.0, 1.0])) == pytest.approx(2.5)
-    with pytest.raises(ValueError):
-        nn.mse_loss(np.zeros(3), np.zeros(4))
-
-
-def test_mse_matches_scalar_loop():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(3, 4, 2))
-    b = rng.normal(size=(3, 4, 2))
-    acc = 0.0
-    for v, w in zip(a.ravel(), b.ravel()):
-        acc += (v - w) ** 2
-    assert nn.mse_loss(a, b) == pytest.approx(acc / a.size, rel=1e-14)
-    assert nn.mse_loss(a, b) == nn.mse_loss(b, a)
+        assert np.allclose(batched[i], forward_one(spec, p, xs[i]), rtol=1e-12, atol=1e-15)
 
 
 # --------------------------- backward -------------------------------------
@@ -267,7 +248,7 @@ def finite_difference_grad(spec, params, xs, ys, h=1e-5):
         for sign in (+1.0, -1.0):
             flat[i] += sign * h
             pred = nn.forward_batch(spec, flat, xs)
-            loss = nn.mse_loss(pred, ys)
+            loss = mse(pred, ys)
             fd[i] += sign * loss / (2 * h)
             flat[i] -= sign * h
     return fd
@@ -324,8 +305,8 @@ def test_gradient_through_a_wide_layer_matches_finite_differences(kh, kw):
         up, down = p.copy(), p.copy()
         up[i] += h
         down[i] -= h
-        fd = (nn.mse_loss(nn.forward_batch(spec, up, xs), ys)
-              - nn.mse_loss(nn.forward_batch(spec, down, xs), ys)) / (2 * h)
+        fd = (mse(nn.forward_batch(spec, up, xs), ys)
+              - mse(nn.forward_batch(spec, down, xs), ys)) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
@@ -406,14 +387,14 @@ def test_batch_spanning_two_chunks_matches_single_samples(spec):
     ys = rng.normal(size=(n,) + spec.input_shape[:2] + (2,))
     out = nn.forward_batch(spec, p, xs)
     for x, got in zip(xs, out):
-        assert np.array_equal(got, nn.forward(spec, p, x))
+        assert np.array_equal(got, forward_one(spec, p, x))
     grad, loss = nn.batch_gradient(spec, p, xs, ys)
     singles = np.array([nn.batch_gradient(spec, p, xs[i:i + 1], ys[i:i + 1])[0]
                         for i in range(n)])
     # rtol 1e-12 of the terms' mean magnitude: a few coordinates cancel to
     # 1e-4 of their terms, where either summation order moves the last digits
     assert np.all(np.abs(grad - singles.mean(axis=0)) <= 1e-12 * np.abs(singles).mean(axis=0))
-    assert loss == pytest.approx(nn.mse_loss(out, ys), rel=1e-12, abs=0)
+    assert loss == pytest.approx(mse(out, ys), rel=1e-12, abs=0)
 
 
 def test_sample_output_does_not_depend_on_its_place_in_the_batch():
@@ -426,7 +407,7 @@ def test_sample_output_does_not_depend_on_its_place_in_the_batch():
     p = nn.init_params(spec, 62)
     xs = np.random.default_rng(62).normal(size=(9,) + spec.input_shape)
     for x, got in zip(xs, nn.forward_batch(spec, p, xs)):
-        assert np.array_equal(got, nn.forward(spec, p, x))
+        assert np.array_equal(got, forward_one(spec, p, x))
 
 
 @pytest.mark.parametrize("spec", [pytest.param(nn.default_network_spec(), id="default-72x14"),
@@ -736,12 +717,12 @@ def test_train_minibatch_learns_and_is_deterministic():
     xs = rng.normal(size=(24,) + spec.input_shape)
     ys = nn.forward_batch(spec, target_params, xs)
     p0 = nn.init_params(spec, 35)
-    before = nn.mse_loss(nn.forward_batch(spec, p0, xs), ys)
+    before = mse(nn.forward_batch(spec, p0, xs), ys)
     trained = nn.train_minibatch(
         spec, p0, xs, ys, epochs=30, batch_size=8, learning_rate=0.01,
         rng=np.random.default_rng(36),
     )
-    assert nn.mse_loss(nn.forward_batch(spec, trained, xs), ys) < 0.2 * before
+    assert mse(nn.forward_batch(spec, trained, xs), ys) < 0.2 * before
     trained2 = nn.train_minibatch(
         spec, p0, xs, ys, epochs=30, batch_size=8, learning_rate=0.01,
         rng=np.random.default_rng(36),

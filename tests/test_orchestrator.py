@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import desk_config, run_cached, small_network
+from conftest import desk_config, forward_one, mse, run_cached, small_network
 
 from fedcsi import aggregation, channel, llpf, nn, orchestrator
 from fedcsi.attacks import AttackPlan
@@ -109,13 +109,33 @@ def test_pretrain_and_validation_uids_disjoint():
     assert {s.uid for s in pre}.isdisjoint({s.uid for s in val})
 
 
+def start_state(cfg):
+    """The federation state after pre-training, before round 1."""
+    params, pre, val = pretrain(cfg)
+    return FederationState(round_index=0, global_params=params, pretrain_set=pre,
+                           validation_set=val, attack_plan=cfg.attack)
+
+
+def spy_local_train(monkeypatch):
+    """Record the (round, cache) of every `local_train` call."""
+    trained = []
+    real = orchestrator.local_train
+
+    def spy(global_params, cache, config, round_index):
+        trained.append((round_index, cache))
+        return real(global_params, cache, config, round_index)
+
+    monkeypatch.setattr(orchestrator, "local_train", spy)
+    return trained
+
+
 # --------------------------- local_train ------------------------------------
 
 def test_local_train_zero_epochs_identity():
     cfg = desk_config(epochs=0)
     params, pre, _ = pretrain(cfg)
     cache = channel.CachedDataset(samples=pre[:6], sbs_id=0, round_index=1)
-    update = local_train(cfg.network, params, cache, cfg)
+    update = local_train(params, cache, cfg, 1)
     assert np.array_equal(update.params, params)
     assert update.l_n == 6
 
@@ -125,8 +145,8 @@ def test_local_train_identical_caches_identical_updates():
     params, pre, _ = pretrain(cfg)
     cache_a = channel.CachedDataset(samples=pre[:6], sbs_id=2, round_index=1)
     cache_b = channel.CachedDataset(samples=list(pre[:6]), sbs_id=2, round_index=1)
-    ua = local_train(cfg.network, params, cache_a, cfg)
-    ub = local_train(cfg.network, params, cache_b, cfg)
+    ua = local_train(params, cache_a, cfg, 1)
+    ub = local_train(params, cache_b, cfg, 1)
     assert np.array_equal(ua.params, ub.params)
 
 
@@ -135,7 +155,7 @@ def test_local_train_uses_pre_topup_weight():
     params, pre, _ = pretrain(cfg)
     cache = channel.CachedDataset(samples=pre[:4], sbs_id=0, round_index=1)
     topped = channel.topup_with_pretrain(cache, pre, 8, np.random.default_rng(0))
-    update = local_train(cfg.network, params, topped, cfg)
+    update = local_train(params, topped, cfg, 1)
     assert topped.l_n == 8
     assert update.l_n == 4
 
@@ -144,7 +164,7 @@ def test_local_train_steps_sgd_mode():
     cfg = desk_config(local_mode="steps_sgd", sgd_steps=3)
     params, pre, _ = pretrain(cfg)
     cache = channel.CachedDataset(samples=pre[:6], sbs_id=1, round_index=1)
-    update = local_train(cfg.network, params, cache, cfg)
+    update = local_train(params, cache, cfg, 1)
     assert not np.array_equal(update.params, params)
 
 
@@ -160,7 +180,7 @@ def test_local_training_loss_mostly_non_increasing():
             cfg.network, params, inputs, labels, epochs=k, batch_size=8,
             learning_rate=0.001, rng=np.random.default_rng(3),
         )
-        losses.append(nn.mse_loss(nn.forward_batch(cfg.network, trained, inputs), labels))
+        losses.append(mse(nn.forward_batch(cfg.network, trained, inputs), labels))
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a)
     assert drops >= 0.9 * (len(losses) - 1)
 
@@ -185,8 +205,8 @@ def test_evaluate_matches_loop_oracle():
     def mean_mse(samples):
         vals = []
         for s in samples:
-            pred = nn.forward(cfg.network, params, s.input)
-            vals.append(nn.mse_loss(pred, s.label))
+            pred = forward_one(cfg.network, params, s.input)
+            vals.append(mse(pred, s.label))
         return sum(vals) / len(vals)
 
     authentic = [s for c in caches for s in c.samples if s.provenance == "authentic"]
@@ -209,7 +229,7 @@ def test_evaluate_no_poison_and_perfect_model():
     assert record.mse_gamma is not None
     # a perfect model: evaluate against labels equal to predictions
     perfect = [
-        dataclasses.replace(v, label=nn.forward(cfg.network, params, v.input))
+        dataclasses.replace(v, label=forward_one(cfg.network, params, v.input))
         for v in val
     ]
     record2 = evaluate(cfg, params, [], perfect)
@@ -263,27 +283,18 @@ def test_poisoned_metric_absent_when_ratio_zero():
     assert all(r.attack_mode == "none" for r in records)
 
 
-def test_collusion_payload_frozen_across_rounds():
+def test_collusion_payload_frozen_across_rounds(monkeypatch):
     plan = AttackPlan(mode="collusion", deployment="widespread", ratio=0.3)
     cfg = desk_config(attack=plan, rounds=2)
-    params, pre, val = pretrain(cfg)
-    state = FederationState(
-        round_index=0, global_params=params, pretrain_set=pre,
-        validation_set=val, attack_plan=cfg.attack,
-        next_uid=cfg.pretrain_size + cfg.validation_size,
-    )
-    state, _ = run_round(state, cfg)
+    trained = spy_local_train(monkeypatch)
+    state, _ = run_round(start_state(cfg), cfg)
     frozen = state.attack_plan.collusion_payload
     assert frozen is not None
-    round1_labels = [
-        s.label for c in state.caches for s in c.samples if s.provenance == "collusion"
-    ]
-    state, _ = run_round(state, cfg)
-    round2_labels = [
-        s.label for c in state.caches for s in c.samples if s.provenance == "collusion"
-    ]
-    assert round1_labels and round2_labels
-    for lab in round1_labels + round2_labels:
+    run_round(state, cfg)
+    labels = {t: [s.label for r, c in trained if r == t for s in c.samples
+                  if s.provenance == "collusion"] for t in (1, 2)}
+    assert labels[1] and labels[2]
+    for lab in labels[1] + labels[2]:
         assert np.array_equal(lab, frozen)
 
 
@@ -291,13 +302,7 @@ def test_collusion_payload_stays_open_after_a_round_that_poisons_nothing():
     # a widespread ratio below 1/l_n poisons no sample of any cache
     plan = AttackPlan(mode="collusion", deployment="widespread", ratio=0.05)
     cfg = desk_config(attack=plan, rounds=1, epochs=1)
-    params, pre, val = pretrain(cfg)
-    state = FederationState(
-        round_index=0, global_params=params, pretrain_set=pre,
-        validation_set=val, attack_plan=cfg.attack,
-        next_uid=cfg.pretrain_size + cfg.validation_size,
-    )
-    state, record = run_round(state, cfg)
+    state, record = run_round(start_state(cfg), cfg)
     assert state.attack_plan.collusion_payload is None
     assert record.mse_beta is None
 
@@ -308,7 +313,6 @@ def test_llpf_sees_poisoned_caches_and_training_uses_filtered(monkeypatch):
         attack=plan, rounds=1, epochs=1, cache_len_lo=10, cache_len_hi=12,
         llpf=LlpfConfig(enabled=True),
     )
-    params, pre, val = pretrain(cfg)
     seen_poisoned = []
     real_filter = orchestrator.llpf.filter_cache
 
@@ -324,40 +328,29 @@ def test_llpf_sees_poisoned_caches_and_training_uses_filtered(monkeypatch):
         )
 
     monkeypatch.setattr(orchestrator.llpf, "filter_cache", spy_filter)
-    state = FederationState(
-        round_index=0, global_params=params, pretrain_set=pre,
-        validation_set=val, attack_plan=cfg.attack,
-        next_uid=cfg.pretrain_size + cfg.validation_size,
-    )
-    state, record = run_round(state, cfg)
+    trained = spy_local_train(monkeypatch)
+    _, record = run_round(start_state(cfg), cfg)
     # the filter ran downstream of poisoning: it saw poisoned samples
     assert sum(seen_poisoned) > 0
     # training and metrics consumed the filtered caches: nothing poisoned left
-    assert all(s.provenance == "authentic" for c in state.caches for s in c.samples)
+    assert len(trained) == cfg.n_sbs
+    assert all(s.provenance == "authentic" for _, c in trained for s in c.samples)
     assert record.mse_beta is None
 
 
 def test_exclusion_shrinks_caches_before_topup():
     cfg = desk_config(exclude_fraction=0.25, cache_len_lo=8, cache_len_hi=8, i_min=0)
-    params, pre, val = pretrain(cfg)
-    state = FederationState(
-        round_index=0, global_params=params, pretrain_set=pre,
-        validation_set=val, attack_plan=None,
-        next_uid=cfg.pretrain_size + cfg.validation_size,
-    )
-    state, _ = run_round(state, cfg)
-    for cache in state.caches:
+    _, pre, _ = pretrain(cfg)
+    caches, _ = orchestrator._build_round_caches(cfg, 1, None, pre)
+    assert len(caches) == cfg.n_sbs
+    for cache in caches:
         assert cache.l_n == 6  # 8 - floor(0.25 * 8)
         assert cache.aggregation_len == 6
 
 
 def test_validation_leak_detected():
     cfg = desk_config()
-    params, pre, val = pretrain(cfg)
-    state = FederationState(
-        round_index=0, global_params=params, pretrain_set=pre,
-        validation_set=val, attack_plan=None, next_uid=0,
-    )
+    _, _, val = pretrain(cfg)
     leaky = channel.CachedDataset(samples=[val[0]], sbs_id=0, round_index=1)
     with pytest.raises(RuntimeError, match="leaked"):
         orchestrator._check_validation_separation([leaky], val)
@@ -365,12 +358,7 @@ def test_validation_leak_detected():
 
 def test_non_finite_aggregate_aborts_with_diagnostic(monkeypatch):
     cfg = desk_config(rounds=1)
-    params, pre, val = pretrain(cfg)
-    state = FederationState(
-        round_index=0, global_params=params, pretrain_set=pre,
-        validation_set=val, attack_plan=None,
-        next_uid=cfg.pretrain_size + cfg.validation_size,
-    )
+    state = start_state(cfg)
 
     def bad_aggregate(updates, aggregator, **kw):
         out = np.zeros(updates[0].params.size)
@@ -395,16 +383,47 @@ def test_diverging_station_named_before_aggregation(kind):
 
 def test_persist_caches_reuses_round_one_data():
     cfg = desk_config(persist_caches=True, rounds=2)
-    params, pre, val = pretrain(cfg)
-    state = FederationState(
-        round_index=0, global_params=params, pretrain_set=pre,
-        validation_set=val, attack_plan=None,
-        next_uid=cfg.pretrain_size + cfg.validation_size,
-    )
-    state, _ = run_round(state, cfg)
+    state, _ = run_round(start_state(cfg), cfg)
     first = state.caches
     state, _ = run_round(state, cfg)
     assert state.caches is first
+
+
+def test_state_keeps_no_caches_without_persist():
+    cfg = desk_config(rounds=2)
+    state, _ = run_round(start_state(cfg), cfg)
+    assert state.caches is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.round_index = 5
+
+
+def test_persisted_rounds_draw_fresh_local_shuffles(monkeypatch):
+    # round 2 trains round 1's caches again, with round 2's shuffles
+    cfg = desk_config(persist_caches=True, rounds=2)
+    draws = []
+    real = orchestrator.derive_rng
+
+    def spy(seed, *tags):
+        draws.append(tags)
+        return real(seed, *tags)
+
+    monkeypatch.setattr(orchestrator, "derive_rng", spy)
+    run_experiment(cfg)
+    shuffles = sorted(tags for tags in draws if tags[0] == "local-train")
+    assert shuffles == [("local-train", t, k) for t in (1, 2) for k in range(cfg.n_sbs)]
+
+
+def test_round_caches_take_uids_clear_of_other_rounds_and_server_sets():
+    cfg = desk_config(rounds=3)
+    _, pre, val = pretrain(cfg)
+    server = {s.uid for s in pre} | {s.uid for s in val}
+    seen = set()
+    for t in (1, 2, 3):
+        caches, _ = orchestrator._build_round_caches(cfg, t, None, pre)
+        # top-up pads the caches with pre-training samples; the rest are new
+        own = {s.uid for c in caches for s in c.samples[:c.aggregation_len]}
+        assert own and own.isdisjoint(server) and own.isdisjoint(seen)
+        seen |= own
 
 
 def test_fedbe_round_runs():
