@@ -20,7 +20,7 @@ from .aggregation import (
     sto_median_probabilities,
     trimmed_mean,
 )
-from .attacks import AttackPlan, collude_label, outdate_label, poison_caches, reverse_label
+from .attacks import AttackPlan, outdate_label, poison_caches, reverse_label
 from .channel import (
     CachedDataset,
     ChannelConfig,

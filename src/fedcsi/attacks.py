@@ -52,31 +52,16 @@ def reverse_label(label: np.ndarray) -> np.ndarray:
     return 2.0 * m - label
 
 
-def collude_label(sample: ChannelSample, payload: np.ndarray) -> ChannelSample:
-    if payload.shape != sample.label.shape:
-        raise ValueError(f"payload shape {payload.shape} != label {sample.label.shape}")
-    return replace(_as_poisoned(sample, "collusion"), label=payload)
-
-
 def outdate_label(
     sample: ChannelSample, lag: float, depth: int, rng: np.random.Generator
-) -> ChannelSample:
-    """The sample with the label of its channel `lag * k` symbols away, k
-    drawn uniformly from 1..depth: one pick from a pool of `depth` outdated
+) -> np.ndarray:
+    """The label of the sample's channel `lag * k` symbols away, k drawn
+    uniformly from 1..depth: one pick from a pool of `depth` outdated
     labels, of which only the picked one is synthesized."""
     if depth < 1:
         raise ValueError("empty outdated-CSI pool")
     k = int(rng.integers(depth)) + 1
-    return replace(_as_poisoned(sample, "outdate"), label=lagged_label(sample, lag * k))
-
-
-def _as_poisoned(sample: ChannelSample, mode: str) -> ChannelSample:
-    # fresh object: authentic samples are never mutated; fading params are
-    # dropped because the poisoned label no longer matches them
-    return ChannelSample(
-        input=sample.input, label=sample.label, provenance=mode,
-        uid=sample.uid, fading=None,
-    )
+    return lagged_label(sample, lag * k)
 
 
 def _poison_count(plan: AttackPlan, cache_len: int, total_len: int, n_caches: int) -> int:
@@ -110,15 +95,18 @@ def poison_caches(
         for idx in chosen:
             victim = samples[idx]
             if plan.mode == "reverse":
-                samples[idx] = replace(
-                    _as_poisoned(victim, "reverse"), label=reverse_label(victim.label)
-                )
+                label = reverse_label(victim.label)
             elif plan.mode == "collusion":
                 if payload is None:
                     payload = victim.label.copy()
-                samples[idx] = collude_label(victim, payload)
+                if payload.shape != victim.label.shape:
+                    raise ValueError(
+                        f"payload shape {payload.shape} != label {victim.label.shape}")
+                label = payload
             else:  # outdate
-                samples[idx] = outdate_label(
-                    victim, plan.outdate_lag, plan.outdate_pool_depth, rng)
+                label = outdate_label(victim, plan.outdate_lag, plan.outdate_pool_depth, rng)
+            # a new sample: authentic samples are never mutated; fading params
+            # are dropped because the poisoned label no longer matches them
+            samples[idx] = replace(victim, label=label, provenance=plan.mode, fading=None)
         out.append(replace(cache, samples=samples))
     return out

@@ -55,7 +55,7 @@ class FadingParams:
     dopplers: np.ndarray  # float, (P,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelSample:
     input: np.ndarray   # (H, W, 2) interpolated noisy pilots
     label: np.ndarray   # (H, W, 2) true CSI

@@ -27,6 +27,7 @@ import numpy as np
 from . import nn, plotting
 from .aggregation import AGGREGATOR_KINDS
 from .attacks import ATTACK_MODES, DEPLOYMENTS, AttackPlan
+from .channel import ChannelConfig
 from .orchestrator import ExperimentConfig, MetricsRecord, run_experiment
 
 CSV_FIELDS = (
@@ -51,8 +52,6 @@ def _value(value, hint, name: str):
         if value is None:
             return None
         (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
-    if hint is nn.NetworkSpec:
-        return _network_from_dict(value)
     if dataclasses.is_dataclass(hint):
         return _from_dict(hint, value, name)
     if hint is np.ndarray:
@@ -102,6 +101,8 @@ def _from_dict(cls, data, section: str):
     prefix = "" if cls is ExperimentConfig else f"{section}."
     kwargs = {}
     for f in fields:
+        if hints[f.name] is nn.NetworkSpec:
+            continue  # parsed by config_from_dict, once the channel grid is known
         if f.name in data:
             kwargs[f.name] = _value(data[f.name], hints[f.name], prefix + f.name)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
@@ -109,12 +110,13 @@ def _from_dict(cls, data, section: str):
     return cls(**kwargs)
 
 
-def _network_from_dict(data) -> nn.NetworkSpec:
-    """The network section names the grid and lists layers as
-    [kh, kw, filters, activation]; absent layers give the default stack."""
+def _network_from_dict(data, channel: ChannelConfig) -> nn.NetworkSpec:
+    """The network section names the grid, by default the channel's, and
+    lists layers as [kh, kw, filters, activation]; absent layers give the
+    default stack."""
     _object(data, "network", {"input_height", "input_width", "layers"})
-    height = _value(data.get("input_height", 72), int, "network.input_height")
-    width = _value(data.get("input_width", 14), int, "network.input_width")
+    height = _value(data.get("input_height", channel.grid_height), int, "network.input_height")
+    width = _value(data.get("input_width", channel.grid_width), int, "network.input_width")
     layers = data.get("layers")
     if layers is None:
         return nn.default_network_spec(height, width)
@@ -132,6 +134,8 @@ def _network_from_dict(data) -> nn.NetworkSpec:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     config = _from_dict(ExperimentConfig, data, "experiment")
+    config = dataclasses.replace(
+        config, network=_network_from_dict(data.get("network", {}), config.channel))
     try:
         config.validate()
     except ValueError as exc:

@@ -26,15 +26,12 @@ class LlpfConfig:
     enabled: bool = False
     theta: float = 0.95
     k_sigma: float = 0.6
-    mu_mode: str = "median"  # "median" | "sum"
 
     def validate(self) -> None:
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta {self.theta} outside (0, 1)")
         if not 0.0 < self.k_sigma < math.inf:
             raise ValueError(f"k_sigma {self.k_sigma} must be finite and > 0")
-        if self.mu_mode not in ("median", "sum"):
-            raise ValueError(f"unknown mu_mode {self.mu_mode!r}")
 
 
 def per_sample_losses(
@@ -64,18 +61,14 @@ def trunc_gauss_cdf(x: float, mu: float, k_sigma: float) -> float:
     return 0.5 + 0.5 * math.erf(k_sigma * mu / math.sqrt(2.0) * (x - mu))
 
 
-def location_parameter(losses: np.ndarray, cfg: LlpfConfig) -> float:
-    return float(np.median(losses)) if cfg.mu_mode == "median" else float(np.sum(losses))
-
-
 def classify_losses(losses: np.ndarray, cfg: LlpfConfig) -> np.ndarray:
     """Boolean mask of untrusted samples: CDF above the threshold theta.
 
-    A non-positive location parameter (every loss zero under the median
-    mode) degenerates to trusting everything.
+    The location parameter mu is the median loss; a median of zero
+    degenerates to trusting everything.
     """
     cfg.validate()
-    mu = location_parameter(losses, cfg)
+    mu = float(np.median(losses))
     if mu <= 0.0:
         return np.zeros(len(losses), dtype=bool)
     return np.array([trunc_gauss_cdf(float(l), mu, cfg.k_sigma) > cfg.theta for l in losses])

@@ -117,19 +117,19 @@ def _attack_fields(plan: Optional[attacks.AttackPlan]) -> tuple[str, str, float]
 def evaluate(
     config: ExperimentConfig,
     params: np.ndarray,
-    caches: list,
+    seen: list,
     validation: list,
     *,
     round_index: int = 0,
 ) -> MetricsRecord:
-    """Three-way metric split: authentic cache data, validation, poisoned;
-    labelled with the config's aggregator, attack and master seed.  All
-    three sets are scored in one engine call; a sample's loss does not
-    depend on its place in it."""
+    """Three-way metric split: authentic seen samples, validation, poisoned
+    seen samples; labelled with the config's aggregator, attack and master
+    seed.  All three sets are scored in one engine call; a sample's loss
+    does not depend on its place in it."""
     if not validation:
         raise ValueError("validation set must be non-empty")
-    authentic = [s for c in caches for s in c.samples if s.provenance == "authentic"]
-    poisoned = [s for c in caches for s in c.samples if s.provenance != "authentic"]
+    authentic = [s for s in seen if s.provenance == "authentic"]
+    poisoned = [s for s in seen if s.provenance != "authentic"]
     losses = llpf.per_sample_losses(config.network, params, [*validation, *authentic, *poisoned])
     delta, gamma, beta = (float(part.sum()) / len(part) if len(part) else None
                           for part in np.split(losses, [len(validation),
@@ -224,10 +224,8 @@ def _exclude_authentic(
             continue
         removed = set(rng.choice(cache.l_n, size=drop, replace=False).tolist())
         kept = [s for i, s in enumerate(cache.samples) if i not in removed]
-        # a new cache, not a copy: the kept count is the aggregation weight
-        out.append(channel.CachedDataset(
-            samples=kept, sbs_id=cache.sbs_id, round_index=cache.round_index,
-        ))
+        # the kept count is the aggregation weight
+        out.append(replace(cache, samples=kept, aggregation_len=len(kept)))
     return out
 
 
@@ -300,7 +298,8 @@ def run_round(
     )
     _check_finite(new_params, lambda i: f"aggregator {config.aggregator.describe()} "
                   f"produced a non-finite value at coordinate {i} in round {t}")
-    record = evaluate(config, new_params, filtered, state.validation_set, round_index=t)
+    record = evaluate(config, new_params, [s for c in filtered for s in c.samples],
+                      state.validation_set, round_index=t)
     new_state = replace(state, round_index=t, global_params=new_params, attack_plan=plan,
                         caches=caches if config.persist_caches else None)
     return new_state, record
@@ -327,8 +326,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
     the round-0 pre-training record (seen data = the pre-training set)."""
     config.validate()
     params, pretrain_set, validation_set = pretrain(config)
-    seen = channel.CachedDataset(samples=pretrain_set, sbs_id=-1, round_index=0)
-    records = [evaluate(config, params, [seen], validation_set)]
+    records = [evaluate(config, params, pretrain_set, validation_set)]
     state = FederationState(
         round_index=0,
         global_params=params,

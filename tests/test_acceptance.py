@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Criteria 1-5 and 10 are here (criteria 6-9, the reproductions of the
-attack ranking and of robust aggregation, are not yet); the module
-finishes in seconds.
+Criteria 1-5, 8 and 10 are here (criteria 6, 7 and 9, the reproductions
+of the attack ranking and of the LLPF defence, are not yet). Criterion 8
+runs 15 desk experiments on two processes, about 35 s; the others take
+seconds.
 """
 import dataclasses
 import math
@@ -209,6 +210,45 @@ def test_c05_llpf_detection_power():
         f"pooled precision {precision:.3f} (>= {LLPF_MIN_PRECISION}), recall {recall:.3f} "
         f"(>= {LLPF_MIN_RECALL}) over seeds {LLPF_SEEDS[0]}-{LLPF_SEEDS[-1]}; per seed "
         f"{', '.join(per_seed)}; {time.time() - start:.1f}s",
+    )
+
+
+# --------------------------------------------------------------------------
+# criterion 8: targeted defence by the robust aggregators
+# --------------------------------------------------------------------------
+
+# bounds and seeds fixed before the first run; seeds 1-3 were looked at
+# while choosing them
+TARGETED_SEEDS = (11, 12, 13, 14, 15)
+TARGETED_MIN_WINS = 4
+TARGETED_MAX_MEAN_RATIO = 0.8
+
+
+def test_c08_targeted_defence_by_robust_aggregators():
+    # every label of station 0 reversed; the final round's validation MSE of
+    # StoMedian and FedMedian against FedAvg's, seed by seed
+    start = time.time()
+    attack = AttackPlan(mode="reverse", deployment="targeted", ratio=1.0, target_sbs=0)
+    kinds = ("fedavg", "stomedian", "fedmedian")
+    cells = [(f"{kind}_seed{seed}", ranking_config("reverse", seed, attack=attack,
+                                                   aggregator=Aggregator(kind=kind)))
+             for kind in kinds for seed in TARGETED_SEEDS]
+    final = {name: cli._metrics_rows(text.splitlines(), name)[-1]["mse_delta"]
+             for name, text in cli._run_cells(cells, 2)}
+    fedavg = [final[f"fedavg_seed{seed}"] for seed in TARGETED_SEEDS]
+    ok, details = True, [f"fedavg {min(fedavg):.4f}-{max(fedavg):.4f}"]
+    for kind in kinds[1:]:
+        robust = [final[f"{kind}_seed{seed}"] for seed in TARGETED_SEEDS]
+        wins = sum(r < f for r, f in zip(robust, fedavg))
+        mean_ratio = float(np.mean([r / f for r, f in zip(robust, fedavg)]))
+        ok &= wins >= TARGETED_MIN_WINS and mean_ratio <= TARGETED_MAX_MEAN_RATIO
+        details.append(f"{kind} {min(robust):.4f}-{max(robust):.4f}, below FedAvg on "
+                       f"{wins}/{len(robust)} (>= {TARGETED_MIN_WINS}), mean ratio "
+                       f"{mean_ratio:.3f} (<= {TARGETED_MAX_MEAN_RATIO})")
+    _report(
+        "criterion 8 (StoMedian and FedMedian against targeted reverse, ratio 1.0)",
+        ok, f"final mse_delta over seeds {TARGETED_SEEDS[0]}-{TARGETED_SEEDS[-1]}: "
+        f"{'; '.join(details)}; {time.time() - start:.1f}s",
     )
 
 

@@ -37,7 +37,7 @@ def test_reverse_label_involution_and_mean():
     assert attacks.reverse_label(label).mean() == pytest.approx(label.mean(), rel=1e-12)
 
 
-# --------------------------- collude_label ---------------------------------
+# --------------------------- collusion -------------------------------------
 
 def test_collusion_labels_identical():
     caches = make_caches([10])
@@ -49,20 +49,22 @@ def test_collusion_labels_identical():
         assert np.array_equal(s.label, poisoned[0].label)
 
 
-def test_collude_label_own_payload_keeps_content():
-    caches = make_caches([3])
+def test_collusion_own_payload_keeps_content():
+    caches = make_caches([1])
     s = caches[0].samples[0]
-    out = attacks.collude_label(s, s.label)
+    plan = AttackPlan(mode="collusion", ratio=1.0, collusion_payload=s.label)
+    (out,) = attacks.poison_caches(caches, plan, derive_rng(2, "own"))[0].samples
     assert np.array_equal(out.label, s.label)
     assert np.array_equal(out.input, s.input)
-    assert out.provenance == "collusion"
-    assert s.provenance == "authentic"  # original untouched
+    assert (out.provenance, out.uid, out.fading) == ("collusion", s.uid, None)
+    assert s.provenance == "authentic" and s.fading is not None  # original untouched
 
 
-def test_collude_label_shape_mismatch():
+def test_collusion_payload_shape_mismatch():
     caches = make_caches([1])
-    with pytest.raises(ValueError):
-        attacks.collude_label(caches[0].samples[0], np.zeros((2, 2, 2)))
+    plan = AttackPlan(mode="collusion", ratio=1.0, collusion_payload=np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="payload shape"):
+        attacks.poison_caches(caches, plan, derive_rng(2, "shape"))
 
 
 def test_colluded_batch_gradient_points_toward_payload():
@@ -78,22 +80,25 @@ def test_colluded_batch_gradient_points_toward_payload():
     assert grad[0] < 0  # a gradient step moves w toward fitting the payload
 
 
-# --------------------------- outdate_label ---------------------------------
+# --------------------------- outdate ---------------------------------------
 
 def test_outdate_label_single_pool_entry():
-    caches = make_caches([2])
+    caches = make_caches([1])
     s = caches[0].samples[0]
-    out = attacks.outdate_label(s, 2.0, 1, derive_rng(3, "od"))
-    assert np.array_equal(out.label, channel.lagged_label(s, 2.0))
-    assert out.provenance == "outdate"
+    label = attacks.outdate_label(s, 2.0, 1, derive_rng(3, "od"))
+    assert np.array_equal(label, channel.lagged_label(s, 2.0))
+    plan = AttackPlan(mode="outdate", ratio=1.0, outdate_lag=2.0, outdate_pool_depth=1)
+    (out,) = attacks.poison_caches(caches, plan, derive_rng(3, "od"))[0].samples
+    assert np.array_equal(out.label, label)
+    assert (out.provenance, out.uid, out.fading) == ("outdate", s.uid, None)
 
 
 def test_outdate_label_membership_and_empty_pool():
     caches = make_caches([2])
     s = caches[0].samples[0]
     pool = [channel.lagged_label(s, k) for k in (1.0, 2.0, 3.0)]
-    out = attacks.outdate_label(s, 1.0, 3, derive_rng(4, "od2"))
-    assert any(np.array_equal(out.label, entry) for entry in pool)
+    label = attacks.outdate_label(s, 1.0, 3, derive_rng(4, "od2"))
+    assert any(np.array_equal(label, entry) for entry in pool)
     with pytest.raises(ValueError):
         attacks.outdate_label(s, 1.0, 0, derive_rng(4, "od3"))
 
@@ -188,8 +193,10 @@ def test_poisoning_preserves_counts_inputs_and_originals():
         for s_old, s_new in zip(before.samples, after.samples):
             assert np.array_equal(s_old.input, s_new.input)  # inputs never modified
             assert s_old.provenance == "authentic"  # original objects untouched
+            assert s_new.uid == s_old.uid
             if s_new.provenance != "authentic":
                 assert not np.array_equal(s_old.label, s_new.label)
+                assert s_new.fading is None and s_old.fading is not None
 
 
 def test_invalid_plans_rejected():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,14 @@ def test_samples_have_finite_values_and_variety():
         assert np.all(np.isfinite(s.input)) and np.all(np.isfinite(s.label))
         means.append(float(np.mean(s.label)))
     assert len(set(means)) > 1
+
+
+def test_samples_are_frozen():
+    s = channel.make_sample(small_cfg(), derive_rng(2, "frozen"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.provenance = "reverse"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.label = np.zeros_like(s.label)
 
 
 def test_lagged_label_zero_lag_identity():

@@ -72,6 +72,9 @@ def test_unknown_key_is_named(tmp_path):
     path.write_text(json.dumps({"aggregator": {"kind": "stomedian", "stomedian_std": "sample"}}))
     with pytest.raises(ConfigError, match="unknown key 'stomedian_std'"):
         parse_config(path)
+    path.write_text(json.dumps({"llpf": {"mu_mode": "median"}}))
+    with pytest.raises(ConfigError, match="unknown key 'mu_mode'"):
+        parse_config(path)
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -87,6 +90,21 @@ def test_large_widespread_ratio_accepted(tmp_path):
     )
     cfg = parse_config(path)
     assert cfg.attack.ratio == 0.7
+
+
+def test_network_grid_follows_the_channel_grid():
+    cfg = cli.config_from_dict({"channel": {"grid_height": 36, "grid_width": 10}})
+    assert cfg.network.input_shape == (36, 10, 2)
+    assert cfg.network.layers == cli.ExperimentConfig().network.layers
+    layers = {"layers": [[3, 3, 2, "selu"]]}
+    cfg = cli.config_from_dict({"channel": {"grid_height": 12}, "network": layers})
+    assert cfg.network.input_shape == (12, 14, 2)
+    # explicit dimensions that disagree with the channel grid are still rejected
+    with pytest.raises(ConfigError, match=r"network input \(72, 10, 2\) != channel grid"):
+        cli.config_from_dict({"channel": {"grid_height": 36, "grid_width": 10},
+                              "network": {"input_height": 72}})
+    with pytest.raises(ConfigError, match="experiment config must be an object"):
+        cli.config_from_dict([{"channel": {}}])
 
 
 def test_invariant_violations_are_named(tmp_path):
@@ -176,7 +194,7 @@ def test_collusion_payload_checked_before_any_work(tmp_path):
 
 def test_readme_example_config_parses(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    (example,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    example = re.findall(r"```json\n(.*?)```", readme, flags=re.S)[0]
     path = tmp_path / "example.json"
     path.write_text(example)
     cfg = parse_config(path)

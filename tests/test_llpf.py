@@ -133,8 +133,6 @@ def test_config_validation():
         LlpfConfig(theta=1.0).validate()
     with pytest.raises(ValueError):
         LlpfConfig(k_sigma=0.0).validate()
-    with pytest.raises(ValueError):
-        LlpfConfig(mu_mode="mean").validate()
 
 
 # --------------------------- filter_cache -----------------------------------
@@ -184,12 +182,3 @@ def test_filter_preserves_length_and_draws_from_trusted():
         assert out.samples[i].uid in trusted_uids
     # original cache untouched
     assert cache.samples[12].uid == 12
-
-
-def test_filter_mu_sum_mode_differs():
-    spec, params = zero_model()
-    cache = cache_with_loss_values([1.0] * 9 + [100.0])
-    cfg = LlpfConfig(theta=0.95, mu_mode="sum")
-    # mu = 109: every individual loss sits far below it, nothing is flagged
-    out = llpf.filter_cache(spec, params, cache, cfg, derive_rng(6, "sum"))
-    assert out is cache

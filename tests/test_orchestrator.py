@@ -197,7 +197,7 @@ def test_evaluate_matches_loop_oracle():
         cfg.channel, [5, 4], np.random.default_rng(5), uid_start=10_000
     )
     caches[0].samples[1] = dataclasses.replace(caches[0].samples[1], provenance="reverse")
-    record = evaluate(cfg, params, caches, val, round_index=3)
+    record = evaluate(cfg, params, [s for c in caches for s in c.samples], val, round_index=3)
     # the labels come from the config
     assert (record.round, record.aggregator, record.seed) == (3, "trimmed_mean(a=1)", 4)
     assert (record.attack_mode, record.deployment, record.r_a) == ("reverse", "targeted", 0.5)
@@ -222,7 +222,7 @@ def test_evaluate_no_poison_and_perfect_model():
     caches = channel.generate_round_caches(
         cfg.channel, [4], np.random.default_rng(6), uid_start=20_000
     )
-    record = evaluate(cfg, params, caches, val)
+    record = evaluate(cfg, params, caches[0].samples, val)
     assert (record.round, record.aggregator, record.seed) == (0, "fedavg", 1)
     assert (record.attack_mode, record.deployment, record.r_a) == ("none", "none", 0.0)
     assert record.mse_beta is None
