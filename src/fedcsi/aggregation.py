@@ -184,9 +184,9 @@ def fed_be(
     distill_set: Sequence,
     spec: nn.NetworkSpec,
     *,
-    distill_epochs: int = 20,
-    learning_rate: float = 1e-3,
-    batch_size: int = 64,
+    distill_epochs: int,
+    learning_rate: float,
+    batch_size: int,
 ) -> np.ndarray:
     if not distill_set:
         raise ValueError("fedbe needs a non-empty distillation set")
@@ -210,8 +210,8 @@ def aggregate(
     rng: Optional[np.random.Generator] = None,
     distill_set: Optional[Sequence] = None,
     spec: Optional[nn.NetworkSpec] = None,
-    learning_rate: float = 1e-3,
-    batch_size: int = 64,
+    learning_rate: Optional[float] = None,
+    batch_size: Optional[int] = None,
 ) -> np.ndarray:
     """Dispatch one round's updates through the configured aggregator."""
     aggregator.validate(len(updates))
@@ -223,8 +223,8 @@ def aggregate(
         return fed_median(updates)
     if aggregator.kind == "stomedian":
         return sto_median(updates, aggregator.eps)
-    if rng is None or distill_set is None or spec is None:
-        raise ValueError("fedbe needs rng, distill_set and spec")
+    if any(arg is None for arg in (rng, distill_set, spec, learning_rate, batch_size)):
+        raise ValueError("fedbe needs rng, distill_set, spec, learning_rate and batch_size")
     distill_lr = aggregator.fedbe_distill_lr
     return fed_be(
         updates, aggregator.fedbe_samples, rng, distill_set, spec,

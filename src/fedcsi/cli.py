@@ -111,12 +111,10 @@ def _from_dict(cls, data, section: str):
 
 
 def _network_from_dict(data, channel: ChannelConfig) -> nn.NetworkSpec:
-    """The network section names the grid, by default the channel's, and
-    lists layers as [kh, kw, filters, activation]; absent layers give the
-    default stack."""
-    _object(data, "network", {"input_height", "input_width", "layers"})
-    height = _value(data.get("input_height", channel.grid_height), int, "network.input_height")
-    width = _value(data.get("input_width", channel.grid_width), int, "network.input_width")
+    """The network on the channel's grid, its layers listed as [kh, kw,
+    filters, activation]; absent layers give the default stack."""
+    _object(data, "network", {"layers"})
+    height, width = channel.grid_height, channel.grid_width
     layers = data.get("layers")
     if layers is None:
         return nn.default_network_spec(height, width)
@@ -273,11 +271,10 @@ def _run_config(config: ExperimentConfig) -> str:
     return metrics_to_csv(run_experiment(config))
 
 
-def _run_cells(cells: list[tuple[str, ExperimentConfig]], jobs: int = 1
-               ) -> list[tuple[str, str]]:
+def _run_cells(cells: list[tuple[str, ExperimentConfig]]) -> list[tuple[str, str]]:
     """The (file name, metrics CSV) of each (file name, config) cell, in
-    order, from `jobs` worker processes; every cell is checked before the
-    first experiment runs, and each distinct config runs once."""
+    order; every cell is checked before the first experiment runs, and each
+    distinct config runs once, on at most one process per usable CPU."""
     names = set()
     for name, config in cells:
         if name in names:
@@ -288,10 +285,11 @@ def _run_cells(cells: list[tuple[str, ExperimentConfig]], jobs: int = 1
     # large array such as a collusion payload
     keys = [pickle.dumps(config) for _, config in cells]
     configs = dict(zip(keys, (config for _, config in cells)))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(len(configs), nn.usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             texts = dict(zip(configs, pool.map(_run_config, configs.values())))
-    else:
+    else:  # here the engine's helper processes can share the large calls
         texts = {key: _run_config(config) for key, config in configs.items()}
     return [(name, texts[key]) for (name, _), key in zip(cells, keys)]
 
@@ -349,7 +347,7 @@ def _cmd_sweep(args) -> int:
         ))
         for agg, (label, attack), seed in itertools.product(aggregators, attacks, seeds)
     ]
-    files = _run_cells(cells, args.jobs)
+    files = _run_cells(cells)
     rows = [row for name, text in files for row in _metrics_rows(text.splitlines(), name)]
     svg = plotting.render_line_chart(
         _series_for_metric(rows, "mse_delta"), title="mse_delta", y_label="mse_delta")
@@ -382,17 +380,6 @@ def _cmd_baselines(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedcsi",
@@ -414,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--deployments", default=None)
     sweep_p.add_argument("--ratios", default=None)
     sweep_p.add_argument("--seeds", default=None)
-    sweep_p.add_argument("--jobs", type=_positive_int, default=1,
-                         help="worker processes (default 1: serial)")
     sweep_p.set_defaults(func=_cmd_sweep)
 
     plot_p = sub.add_parser("plot", help="render CSV metrics to SVG charts")

@@ -584,11 +584,17 @@ _pool: list["_Helper"] = []
 _pool_lock = threading.Lock()  # held by the one call that uses the helpers
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else all of the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _helper_count() -> int:
     """Helpers to run: one per CPU this process may use beyond the first."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    return min(_MAX_HELPERS, cpus - 1)
+    return min(_MAX_HELPERS, usable_cpus() - 1)
 
 
 def _helpers(most: int) -> list["_Helper"]:

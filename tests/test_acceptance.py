@@ -234,7 +234,7 @@ def test_c08_targeted_defence_by_robust_aggregators():
                                                    aggregator=Aggregator(kind=kind)))
              for kind in kinds for seed in TARGETED_SEEDS]
     final = {name: cli._metrics_rows(text.splitlines(), name)[-1]["mse_delta"]
-             for name, text in cli._run_cells(cells, 2)}
+             for name, text in cli._run_cells(cells)}
     fedavg = [final[f"fedavg_seed{seed}"] for seed in TARGETED_SEEDS]
     ok, details = True, [f"fedavg {min(fedavg):.4f}-{max(fedavg):.4f}"]
     for kind in kinds[1:]:
@@ -256,13 +256,12 @@ def test_c08_targeted_defence_by_robust_aggregators():
 # criterion 10: byte-level determinism, serial == parallel
 # --------------------------------------------------------------------------
 
-def test_c10_determinism(tmp_path):
+def test_c10_determinism(tmp_path, monkeypatch):
     config = {
         "n_sbs": 3, "rounds": 2, "cache_len_lo": 6, "cache_len_hi": 8, "i_min": 5,
         "pretrain_size": 10, "validation_size": 8, "epochs": 2, "batch_size": 8,
         "learning_rate": 0.003,
-        "network": {"input_height": 12, "input_width": 8,
-                    "layers": [[3, 3, 5, "selu"], [3, 3, 2, "selu"]]},
+        "network": {"layers": [[3, 3, 5, "selu"], [3, 3, 2, "selu"]]},
         "channel": {"grid_height": 12, "grid_width": 8, "path_count": 4,
                      "max_delay_taps": 1, "doppler_spread": 0.02,
                      "pilot_noise_stddev": 0.1, "pilot_rows_stride": 2,
@@ -282,9 +281,11 @@ def test_c10_determinism(tmp_path):
 
     sweep_args = ["--config", str(cfg_path), "--aggregators", "fedavg,fedmedian,stomedian",
                   "--ratios", "0.0,0.3", "--seeds", "5,6"]
+    # one usable CPU runs the cells here, four run them on a pool of four
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert cli.run(["sweep", *sweep_args, "--out", str(serial), "--jobs", "1"]) == 0
-    assert cli.run(["sweep", *sweep_args, "--out", str(parallel), "--jobs", "8"]) == 0
+    for cpus, out in ((1, serial), (4, parallel)):
+        monkeypatch.setattr(nn, "usable_cpus", lambda cpus=cpus: cpus)
+        assert cli.run(["sweep", *sweep_args, "--out", str(out)]) == 0
     serial_files = sorted(p.name for p in serial.iterdir())
     parallel_files = sorted(p.name for p in parallel.iterdir())
     sweep_ok = serial_files == parallel_files and all(
@@ -315,8 +316,7 @@ def test_c10_bytes_do_not_depend_on_engine_helpers(tmp_path, monkeypatch):
         "n_sbs": 3, "rounds": 2, "cache_len_lo": 6, "cache_len_hi": 8, "i_min": 8,
         "pretrain_size": 64, "validation_size": 8, "pretrain_epochs": 1, "epochs": 1,
         "batch_size": 64, "learning_rate": 2e-3,
-        "network": {"input_height": 36, "input_width": 10,
-                    "layers": [[3, 3, 10, "selu"], [3, 3, 6, "softplus"], [3, 3, 2, "selu"]]},
+        "network": {"layers": [[3, 3, 10, "selu"], [3, 3, 6, "softplus"], [3, 3, 2, "selu"]]},
         "channel": {"grid_height": 36, "grid_width": 10, "path_count": 12,
                     "max_delay_taps": 1, "doppler_spread": 0.02, "pilot_noise_stddev": 0.15},
         "attack": {"mode": "collusion", "deployment": "targeted", "ratio": 0.2, "target_sbs": 0},

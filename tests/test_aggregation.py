@@ -275,7 +275,8 @@ def test_fed_be_identical_updates_returns_near_mu():
 def test_fed_be_requires_distill_set():
     ups = updates_from([[0.1]], [1])
     with pytest.raises(ValueError):
-        agg.fed_be(ups, 2, derive_rng(0), [], nn.default_network_spec())
+        agg.fed_be(ups, 2, derive_rng(0), [], nn.default_network_spec(),
+                   distill_epochs=1, learning_rate=1e-3, batch_size=4)
 
 
 # --------------------------- dispatcher / invariants ------------------------
@@ -290,6 +291,10 @@ def test_aggregate_dispatch_and_lengths():
     assert out.shape == (12,)
     with pytest.raises(ValueError):
         agg.aggregate(ups, Aggregator(kind="fedbe"))
+    # the training defaults live in the config: a caller passes them all
+    with pytest.raises(ValueError, match="learning_rate and batch_size"):
+        agg.aggregate(ups, Aggregator(kind="fedbe"), rng=derive_rng(0), distill_set=[object()],
+                      spec=nn.default_network_spec())
 
 
 def test_all_aggregators_permutation_invariant():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcsi import cli
+from fedcsi import cli, nn
 from fedcsi.attacks import AttackPlan
 from fedcsi.cli import ConfigError, parse_config
 
@@ -24,8 +24,6 @@ TINY = {
     "batch_size": 8,
     "learning_rate": 0.003,
     "network": {
-        "input_height": 12,
-        "input_width": 8,
         "layers": [[3, 3, 6, "selu"], [3, 3, 4, "softplus"], [3, 3, 2, "selu"]],
     },
     "channel": {
@@ -99,8 +97,8 @@ def test_network_grid_follows_the_channel_grid():
     layers = {"layers": [[3, 3, 2, "selu"]]}
     cfg = cli.config_from_dict({"channel": {"grid_height": 12}, "network": layers})
     assert cfg.network.input_shape == (12, 14, 2)
-    # explicit dimensions that disagree with the channel grid are still rejected
-    with pytest.raises(ConfigError, match=r"network input \(72, 10, 2\) != channel grid"):
+    # the grid is the channel's alone: the network section cannot name one
+    with pytest.raises(ConfigError, match="unknown key 'input_height' in network config"):
         cli.config_from_dict({"channel": {"grid_height": 36, "grid_width": 10},
                               "network": {"input_height": 72}})
     with pytest.raises(ConfigError, match="experiment config must be an object"):
@@ -120,7 +118,8 @@ def test_invariant_violations_are_named(tmp_path):
     ({"persist_caches": 0}, "persist_caches"),
     ({"learning_rate": True}, "learning_rate"),
     ({"pretrain_epochs": 1.5}, "pretrain_epochs"),
-    ({"network": {"input_height": False}}, "input_height"),
+    # a key of earlier versions, rejected even at the channel grid's own value
+    ({"network": {"input_height": 12}}, "input_height"),
     ({"network": {"layers": [[3, 3.5, 2, "selu"]]}}, "network layer size"),
     ({"channel": {"path_count": True}}, "path_count"),
     ({"channel": {"max_delay_taps": 1.25}}, "max_delay_taps"),
@@ -350,6 +349,12 @@ def test_sweep_rejects_a_cell_named_twice(tmp_path, capsys, monkeypatch, axis, v
     assert not out.exists()
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Pin the number of usable CPUs that `_run_cells` sizes its pool from."""
+    return lambda count: monkeypatch.setattr(nn, "usable_cpus", lambda: count)
+
+
 def count_runs(monkeypatch):
     """Record the config of every experiment the CLI runs, and run it."""
     ran = []
@@ -358,9 +363,10 @@ def count_runs(monkeypatch):
     return ran
 
 
-def test_sweep_runs_the_attack_free_cell_once(tmp_path, monkeypatch):
+def test_sweep_runs_the_attack_free_cell_once(tmp_path, monkeypatch, cpus):
     # every (deployment, ratio) of mode none is one experiment; the sweep
     # once ran it four times, wrote four identical CSVs and plotted each
+    cpus(1)
     path = write_tiny_config(tmp_path)
     assert cli.run(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
     ran = count_runs(monkeypatch)
@@ -378,7 +384,7 @@ def test_sweep_runs_the_attack_free_cell_once(tmp_path, monkeypatch):
     assert (out / "sweep_mse_delta.svg").read_text().count("<circle") == 5 * 2
 
 
-def test_cells_that_differ_deep_in_a_large_payload_both_run(monkeypatch):
+def test_cells_that_differ_deep_in_a_large_payload_both_run(monkeypatch, cpus):
     # numpy elides the middle of a 2016-value array in its repr, so the
     # two configs' reprs are equal; they must still be two experiments
     payload = np.zeros((72, 14, 2))
@@ -388,22 +394,47 @@ def test_cells_that_differ_deep_in_a_large_payload_both_run(monkeypatch):
     a = dataclasses.replace(base, attack=AttackPlan(mode="collusion", collusion_payload=payload))
     b = dataclasses.replace(base, attack=AttackPlan(mode="collusion", collusion_payload=moved))
     assert repr(a) == repr(b)
+    cpus(1)
     ran = []
     monkeypatch.setattr(cli, "run_experiment", lambda config: ran.append(config) or [])
     cli._run_cells([("a.csv", a), ("b.csv", b)])
     assert [r.attack.collusion_payload[36, 7, 0] for r in ran] == [0.0, 1.0]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
-    # these once ran the sweep serially without a word
-    path = write_tiny_config(tmp_path)
-    out = tmp_path / "s"
-    with pytest.raises(SystemExit) as exit_info:
-        cli.run(["sweep", "--config", str(path), "--out", str(out), "--jobs", jobs])
-    assert exit_info.value.code != 0
-    assert "--jobs: must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("usable, seeds, workers", [
+    (4, (1, 2, 3), [3]),  # one worker per distinct config
+    (2, (1, 2, 3), [2]),  # one worker per CPU
+    (4, (1, 2, 2), [2]),  # a config asked for twice runs once
+    (1, (1, 2, 3), []),  # one CPU: every cell runs here
+    (4, (1, 1, 1), []),  # one distinct config: it runs here
+])
+def test_cells_run_on_one_process_per_config_up_to_the_cpus(monkeypatch, cpus, usable,
+                                                           seeds, workers):
+    pools = []
+
+    class Pool:  # records its size and maps here, so the spy sees every run
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: ran.append(config) or [])
+    cpus(usable)
+    base = cli.config_from_dict({})
+    cells = [(f"{i}.csv", dataclasses.replace(base, master_seed=seed))
+             for i, seed in enumerate(seeds)]
+    assert [name for name, _ in cli._run_cells(cells)] == ["0.csv", "1.csv", "2.csv"]
+    assert pools == workers
+    assert [config.master_seed for config in ran] == sorted(set(seeds))
 
 
 # --------------------------- plot command ------------------------------------
@@ -490,8 +521,9 @@ def test_baselines_without_an_attack_run_once(tmp_path, monkeypatch):
     assert (out / "baseline1.csv").read_bytes() == (out / "baseline2.csv").read_bytes()
 
 
-def test_baselines_write_nothing_when_the_second_run_fails(tmp_path, monkeypatch):
+def test_baselines_write_nothing_when_the_second_run_fails(tmp_path, monkeypatch, cpus):
     # with an attack the baselines differ (baseline 2 excludes a quarter)
+    cpus(1)
     path = write_tiny_config(
         tmp_path, attack={"mode": "reverse", "deployment": "widespread", "ratio": 0.25}
     )
