@@ -35,6 +35,19 @@ TINY = {
 }
 
 
+@pytest.fixture(autouse=True)
+def cpus(monkeypatch):
+    """Pin the number of usable CPUs that `_run_cells` sizes its pool from:
+    one, so that every command runs its experiments in the test's process
+    (where a spy on `run_experiment` sees them, and nothing forks), unless
+    the test pins another count."""
+    def pin(count):
+        monkeypatch.setattr(nn, "usable_cpus", lambda: count)
+
+    pin(1)
+    return pin
+
+
 def write_tiny_config(tmp_path, **extra):
     data = dict(TINY)
     data.update(extra)
@@ -349,12 +362,6 @@ def test_sweep_rejects_a_cell_named_twice(tmp_path, capsys, monkeypatch, axis, v
     assert not out.exists()
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Pin the number of usable CPUs that `_run_cells` sizes its pool from."""
-    return lambda count: monkeypatch.setattr(nn, "usable_cpus", lambda: count)
-
-
 def count_runs(monkeypatch):
     """Record the config of every experiment the CLI runs, and run it."""
     ran = []
@@ -363,10 +370,9 @@ def count_runs(monkeypatch):
     return ran
 
 
-def test_sweep_runs_the_attack_free_cell_once(tmp_path, monkeypatch, cpus):
+def test_sweep_runs_the_attack_free_cell_once(tmp_path, monkeypatch):
     # every (deployment, ratio) of mode none is one experiment; the sweep
     # once ran it four times, wrote four identical CSVs and plotted each
-    cpus(1)
     path = write_tiny_config(tmp_path)
     assert cli.run(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
     ran = count_runs(monkeypatch)
@@ -384,7 +390,7 @@ def test_sweep_runs_the_attack_free_cell_once(tmp_path, monkeypatch, cpus):
     assert (out / "sweep_mse_delta.svg").read_text().count("<circle") == 5 * 2
 
 
-def test_cells_that_differ_deep_in_a_large_payload_both_run(monkeypatch, cpus):
+def test_cells_that_differ_deep_in_a_large_payload_both_run(monkeypatch):
     # numpy elides the middle of a 2016-value array in its repr, so the
     # two configs' reprs are equal; they must still be two experiments
     payload = np.zeros((72, 14, 2))
@@ -394,7 +400,6 @@ def test_cells_that_differ_deep_in_a_large_payload_both_run(monkeypatch, cpus):
     a = dataclasses.replace(base, attack=AttackPlan(mode="collusion", collusion_payload=payload))
     b = dataclasses.replace(base, attack=AttackPlan(mode="collusion", collusion_payload=moved))
     assert repr(a) == repr(b)
-    cpus(1)
     ran = []
     monkeypatch.setattr(cli, "run_experiment", lambda config: ran.append(config) or [])
     cli._run_cells([("a.csv", a), ("b.csv", b)])
@@ -521,9 +526,8 @@ def test_baselines_without_an_attack_run_once(tmp_path, monkeypatch):
     assert (out / "baseline1.csv").read_bytes() == (out / "baseline2.csv").read_bytes()
 
 
-def test_baselines_write_nothing_when_the_second_run_fails(tmp_path, monkeypatch, cpus):
+def test_baselines_write_nothing_when_the_second_run_fails(tmp_path, monkeypatch):
     # with an attack the baselines differ (baseline 2 excludes a quarter)
-    cpus(1)
     path = write_tiny_config(
         tmp_path, attack={"mode": "reverse", "deployment": "widespread", "ratio": 0.25}
     )
