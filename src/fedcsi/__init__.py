@@ -36,6 +36,7 @@ from .nn import (
     NetworkSpec,
     default_network_spec,
     forward_batch,
+    forward_sum,
     init_params,
     layer_params,
     param_count,

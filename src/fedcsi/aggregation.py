@@ -193,9 +193,7 @@ def fed_be(
     mu, var = fed_be_fit(updates)
     draws = fed_be_sample(mu, var, samples, rng)
     inputs = np.stack([s.input for s in distill_set])
-    ensemble = np.zeros(inputs.shape[:3] + (spec.layers[-1].filters,))
-    for row in draws:
-        ensemble += nn.forward_batch(spec, row, inputs)
+    ensemble = nn.forward_sum(spec, draws, inputs)
     ensemble /= samples
     return nn.train_minibatch(
         spec, mu, inputs, ensemble, epochs=distill_epochs, batch_size=batch_size,

@@ -143,7 +143,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     """Load an experiment config; an empty file means all defaults."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not text.strip():
         data = {}
     else:
@@ -151,6 +154,8 @@ def parse_config(path) -> ExperimentConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # an integer of more digits than int() takes
+            raise ConfigError(f"{path}: {exc}") from exc
     try:
         return config_from_dict(data)
     except ConfigError as exc:
@@ -192,18 +197,45 @@ def read_metrics_csv(path) -> list[dict]:
 
 
 def _metrics_rows(lines, source) -> list[dict]:
-    """The rows of a metrics CSV given as an iterable of lines."""
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
-        raise ValueError(f"{source}: unexpected CSV header {reader.fieldnames}")
+    """The rows of a metrics CSV given as an iterable of lines.  `round` and
+    the metrics are parsed; `r_a` and `seed` are checked and kept as text.
+    A bad row is named by its line."""
+    reader = csv.reader(lines)
     rows = []
-    for row in reader:
-        parsed = dict(row)
-        parsed["round"] = int(row["round"])
-        for key in ("mse_gamma", "mse_delta", "mse_beta"):
-            parsed[key] = float(row[key]) if row[key] else None
-        rows.append(parsed)
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_FIELDS:
+            raise ValueError(f"{source}:1: unexpected CSV header {header}")
+        for fields in reader:
+            if not fields:
+                continue  # a blank line
+            where = f"{source}:{reader.line_num}"
+            if len(fields) != len(CSV_FIELDS):
+                raise ValueError(f"{where}: {len(fields)} fields, expected {len(CSV_FIELDS)}")
+            row = dict(zip(CSV_FIELDS, fields))
+            row["round"] = _number(int, row["round"], "round", where)
+            _number(float, row["r_a"], "r_a", where)
+            _number(int, row["seed"], "seed", where)
+            for key in ("mse_gamma", "mse_delta", "mse_beta"):
+                row[key] = _number(float, row[key], key, where) if row[key] else None
+            rows.append(row)
+    except csv.Error as exc:
+        raise ValueError(f"{source}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
     return rows
+
+
+def _number(kind: type, text: str, name: str, where: str):
+    """`text` as an int or a finite float, or a ValueError naming `where`."""
+    try:
+        value = kind(text)
+        if math.isfinite(value):  # an int beyond the float range overflows
+            return value
+    except (ValueError, OverflowError):
+        pass
+    wanted = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"{where}: {name} must be {wanted}, got {text!r}")
 
 
 def _write_all(out: Path, files: list[tuple[str, str]]) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import itertools
 import logging
 import math
 import multiprocessing
@@ -411,14 +412,22 @@ def _layouts(weights: list) -> list[tuple[bool, bool]]:
     return [(wide[i], wide[i] or wide[i + 1]) for i in range(len(weights))]
 
 
-def _conv(x: np.ndarray, kernel: np.ndarray, layout: tuple) -> tuple[np.ndarray, tuple]:
-    """Same-padded correlation of x (C, A, H, W) with `kernel`, without the
-    bias, and the unfolded input that `_kernel_gradient` takes."""
-    kh, kw, c_in, c_out = kernel.shape
+def _operand(x: np.ndarray, kshape: tuple, cells_major: bool) -> tuple:
+    """x (C, A, H, W) as the input operand of a same correlation with a
+    kernel of shape `kshape`: padded, its grid, and unfolded."""
+    kh, kw, c_in, c_out = kshape
     _, a, h, w = x.shape
     grid = (a, h + kh - 1, w + kw - 1)
-    xp = _pad(x, kh, kw, layout[0])
-    unfolded = _unfold(xp, grid, kh, kw, _plan(kw, c_in, c_out))
+    xp = _pad(x, kh, kw, cells_major)
+    return xp, grid, _unfold(xp, grid, kh, kw, _plan(kw, c_in, c_out))
+
+
+def _conv(x: np.ndarray, kernel: np.ndarray, layout: tuple,
+          operand: Optional[tuple] = None) -> tuple[np.ndarray, tuple]:
+    """Same-padded correlation of x (C, A, H, W) with `kernel`, without the
+    bias, and the unfolded input that `_kernel_gradient` takes.  `operand`
+    may hold `_operand`'s result for x."""
+    xp, grid, unfolded = operand or _operand(x, kernel.shape, layout[0])
     return _correlate(xp, grid, kernel, layout[1], unfolded), unfolded
 
 
@@ -451,10 +460,10 @@ def _sample_macs(spec: NetworkSpec) -> int:
 
 def _chunk_size(spec: NetworkSpec) -> int:
     """Samples per gradient chunk, the unit of the gradient's summation
-    order: at most `_pass_size` samples and _CHUNK_MACS forward
-    multiply-adds, so that even a few large samples make several chunks
-    for the helper processes to share; at least one."""
-    return max(1, min(_pass_size(spec), _CHUNK_MACS // _sample_macs(spec)))
+    order: at most half a pass and _CHUNK_MACS forward multiply-adds, so
+    that a pass-sized batch makes two chunks for the helper processes to
+    share; at least one."""
+    return max(1, min(_pass_size(spec) // 2, _CHUNK_MACS // _sample_macs(spec)))
 
 
 def forward_batch(spec: NetworkSpec, params: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -466,10 +475,35 @@ def forward_batch(spec: NetworkSpec, params: np.ndarray, xs: np.ndarray) -> np.n
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty(xs.shape[:3] + (spec.layers[-1].filters,))
     start = 0
-    for outputs in _pass_results("forward", spec, params, [xs]):
+
+    def place(outputs):
+        nonlocal start
         out[start:start + len(outputs)] = outputs
         start += len(outputs)
+
+    _pass_results("forward", spec, params, [xs], (), place)
     return out
+
+
+def forward_sum(spec: NetworkSpec, draws: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The sum of the outputs of the batch xs under each row of `draws`,
+    added in row order.  Each row's outputs are the same bit for bit as its
+    own `forward_batch`, wherever its part of the rows is computed."""
+    _check_input(spec, xs)
+    for params in draws:
+        layer_params(spec, params)
+    xs = np.asarray(xs, dtype=np.float64)
+    total = np.zeros(xs.shape[:3] + (spec.layers[-1].filters,))
+    # each part of the rows runs every pass of xs in turn
+    starts = itertools.cycle(range(0, len(xs), _pass_size(spec)))
+
+    def add(outputs):
+        rows = total[next(starts):][:outputs.shape[1]]
+        for output in outputs:
+            rows += output
+
+    _pass_results("ensemble", spec, draws, [xs], (), add)
+    return total
 
 
 def batch_gradient(
@@ -490,22 +524,36 @@ def batch_gradient(
     inputs = np.asarray(inputs, dtype=np.float64)
     grad = np.zeros(params.size)
     sse = 0.0
+
+    def add(chunk):
+        nonlocal grad, sse
+        grad += chunk[0]
+        sse += chunk[1]
+
     # batch-mean of per-sample mean MSE: every element carries 1/(A*H*W*C)
-    scale = 2.0 / targets.size
-    for chunk_grad, chunk_sse in _pass_results("gradient", spec, params,
-                                               [inputs, targets], scale):
-        grad += chunk_grad
-        sse += chunk_sse
+    _pass_results("gradient", spec, params, [inputs, targets], (2.0 / targets.size,), add)
     return grad, sse / targets.size
 
 
-def _forward_pass(spec: NetworkSpec, weights: list, xs: np.ndarray) -> np.ndarray:
-    """Outputs of the samples xs; `weights` are the `layer_params` views."""
+def _forward_pass(spec: NetworkSpec, weights: list, xs: np.ndarray,
+                  operand: Optional[tuple] = None) -> np.ndarray:
+    """Outputs of the samples xs; `weights` are the `layer_params` views.
+    `operand` may hold the `_operand` of layer 0's input."""
     act = xs.transpose(3, 0, 1, 2)
     for layer, (kernel, bias), layout in zip(spec.layers, weights, _layouts(weights)):
-        z = _conv(act, kernel, layout)[0] + bias[:, None, None, None]
+        z = _conv(act, kernel, layout, operand)[0] + bias[:, None, None, None]
         act = _ACT[layer.activation][0](z)
+        operand = None
     return act.transpose(1, 2, 3, 0)
+
+
+def _ensemble_pass(spec: NetworkSpec, draws: list, xs: np.ndarray) -> np.ndarray:
+    """The outputs of the samples xs under each of `draws`, a list of
+    `layer_params` views, stacked.  Layer 0's input operand does not depend
+    on the parameters, so it is padded and unfolded once for them all."""
+    kernel = draws[0][0][0]
+    operand = _operand(xs.transpose(3, 0, 1, 2), kernel.shape, _cells_major(kernel.shape))
+    return np.stack([_forward_pass(spec, weights, xs, operand) for weights in draws])
 
 
 def _gradient_chunk(
@@ -552,21 +600,25 @@ def _gradient_chunk(
     return grad, sse
 
 
-_TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk}
+_TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk,
+          "ensemble": _ensemble_pass}
 
 
 # --------------------------- helper processes ----------------------------
 #
-# A call of more than _CHUNK_MACS forward multiply-adds shares its batch
-# out: it is cut into contiguous parts, one for each _CHUNK_MACS begun and
-# at most one a process; this process computes the first, and each helper
-# process one of the others.  A gradient's parts are whole chunks, and the
-# caller adds the chunks' gradients in chunk order; a forward's samples
-# are placed by position.  Neither depends on where a part is computed, so
-# the bytes are the same whatever the number of helpers.  A smaller call,
-# under about 5 ms of work, stays here: waking an idle helper took 0.33 ms
-# at the median and over a millisecond in the tail, and sharing the desk
-# spec's 48-sample evaluations made them slower.
+# A call of more than _CHUNK_MACS forward multiply-adds shares its work
+# out: its units are cut into contiguous parts, one for each _CHUNK_MACS
+# begun and at most one a process; this process computes the first, and
+# each helper process one of the others.  A forward's units are samples,
+# placed by position.  A gradient's are whole chunks, whose gradients the
+# caller adds in chunk order; a gradient sample counts as three forward
+# ones (the forward, the kernel gradient and the input gradient).  An
+# ensemble's (`forward_sum`) are whole draws, whose outputs the caller adds
+# in draw order.  None of this depends on where a part is computed, so the
+# bytes are the same whatever the number of helpers.  A smaller call, under
+# about 5 ms of work, stays here: waking an idle helper took 0.33 ms at the
+# median and over a millisecond in the tail, and sharing the desk spec's
+# 48-sample evaluations made them slower.
 #
 # The helpers start at the first call that can use them: one per CPU this
 # process may run on beyond the first, at most _MAX_HELPERS, and none in a
@@ -611,31 +663,41 @@ def _helpers(most: int) -> list["_Helper"]:
     return _pool[:want]
 
 
-def _pass_results(task: str, spec: NetworkSpec, params: np.ndarray, arrays: list, *extra):
-    """The `_TASKS[task]` result of each pass over the per-sample `arrays`,
-    in order.  A batch of more than _CHUNK_MACS forward multiply-adds is
-    cut into contiguous parts: the first is computed here, the others by
-    helpers, unless another thread is using them."""
-    n, chunk = len(arrays[0]), _chunk_size(spec)
+def _pass_results(task: str, spec: NetworkSpec, params: np.ndarray, arrays: list,
+                  extra: tuple, take) -> None:
+    """Hand `take` each `_answer` result of `task`, in order.  The units are
+    the samples of the per-sample `arrays`, or for an ensemble the rows of
+    `params`.  A call of more than _CHUNK_MACS forward multiply-adds is cut
+    into contiguous parts of whole units: the first is computed here, the
+    others by helpers, unless another thread is using them."""
+    ensemble = task == "ensemble"
+    # the units, and the forward multiply-adds of each
+    n = len(params) if ensemble else len(arrays[0])
+    per_unit = {"forward": 1, "gradient": 3, "ensemble": len(arrays[0])}[task]
+    unit_macs = per_unit * _sample_macs(spec)
     # the chunks fix a gradient's summation order, so its parts and passes
     # are whole chunks; a sample's output does not depend on its pass
-    align, step = (chunk, chunk) if task == "gradient" else (1, _pass_size(spec))
+    align, step = (_chunk_size(spec),) * 2 if task == "gradient" else (1, _pass_size(spec))
     if not _pool_lock.acquire(blocking=False):
-        yield from _answer(task, spec, params, arrays, extra, step)
+        for result in _answer(task, spec, params, arrays, extra, step):
+            take(result)
         return
     helpers = []
     try:
+        units = -(-n // align)
         # one part for each _CHUNK_MACS forward multiply-adds begun
-        helpers = _helpers(min(n, -(-n * _sample_macs(spec) // _CHUNK_MACS)) - 1)
-        parts, units = len(helpers) + 1, -(-n // align)
+        helpers = _helpers(min(units, -(-n * unit_macs // _CHUNK_MACS)) - 1)
+        parts = len(helpers) + 1
         cuts = [units * j // parts * align for j in range(parts + 1)]
-        work = [(task, spec, params, [a[lo:hi] for a in arrays], extra, step)
+        work = [(task, spec, params[lo:hi], arrays, extra, step) if ensemble else
+                (task, spec, params, [a[lo:hi] for a in arrays], extra, step)
                 for lo, hi in zip(cuts, cuts[1:])]
         for helper, part in zip(helpers, work[1:]):
             helper.ask(part)
-        yield from _answer(*work[0])
+        for result in _answer(*work[0]):
+            take(result)
         for helper, part in zip(helpers, work[1:]):
-            yield from helper.answer(part)
+            helper.answer(part, take)
     finally:
         # a call that raised leaves a reply unread, which the next call
         # would take for its own
@@ -647,10 +709,41 @@ def _pass_results(task: str, spec: NetworkSpec, params: np.ndarray, arrays: list
 
 def _answer(task: str, spec: NetworkSpec, params: np.ndarray, arrays: list, extra: tuple,
             step: int):
-    """The results of `task` on each pass of `step` samples of `arrays`."""
-    weights = layer_params(spec, params)
+    """The results of `task` on each pass of `step` samples of `arrays`; an
+    ensemble's passes run every row of `params`."""
+    weights = ([layer_params(spec, row) for row in params] if task == "ensemble"
+               else layer_params(spec, params))
     for start in range(0, len(arrays[0]), step):
         yield _TASKS[task](spec, weights, *(a[start:start + step] for a in arrays), *extra)
+
+
+def _result(value):
+    """A result in a helper's reply, as unpickled anywhere but in `_Reply`."""
+    return value
+
+
+class _Result:
+    """Pickles a result of a helper's reply as a call of `_result`."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def __reduce__(self):
+        return _result, (self.value,)
+
+
+class _Reply(pickle.Unpickler):
+    """Reads a helper's reply and hands each result to `take` as soon as it
+    is read, so that the reply is never held whole."""
+
+    def __init__(self, stream, take) -> None:
+        super().__init__(stream)
+        self.take = take
+
+    def find_class(self, module: str, name: str):
+        if (module, name) == (__name__, _result.__name__):
+            return self.take
+        return super().find_class(module, name)
 
 
 class _Helper:
@@ -671,17 +764,25 @@ class _Helper:
         except OSError:
             pass  # a helper that has gone fails to answer, below
 
-    def answer(self, part: tuple):
-        """The results of `part`: the helper's one reply, or all of them
-        computed here if it fails to give it."""
+    def answer(self, part: tuple, take) -> None:
+        """Hand `take` each result of `part`: from the helper's one reply,
+        or, from the first one it fails to give, computed here."""
+        taken = 0
+
+        def count(result):
+            nonlocal taken
+            take(result)
+            taken += 1
+
         try:
-            results = pickle.load(self.process.stdout)
+            _Reply(self.process.stdout, count).load()
             self.pending = False
-            return results
+            return
         except (OSError, EOFError, pickle.UnpicklingError):
             log.warning("engine helper %d failed; computing its part here", self.process.pid)
             self.close()
-        return _answer(*part)
+        for result in itertools.islice(_answer(*part), taken, None):
+            take(result)
 
     def close_pipes(self) -> None:
         for pipe in (self.process.stdin, self.process.stdout):
@@ -723,7 +824,10 @@ def _send(stream, obj) -> None:
     # protocol 5 pickles a contiguous array's buffer in band but writes one
     # of 64 KiB or more straight to the stream, and reading it back fills
     # the new array's buffer straight from the stream: no copy either way
-    pickle.dump(obj, stream, protocol=5)
+    pickler = pickle.Pickler(stream, protocol=5)
+    # no memo: its reader would keep every array of a reply to the end
+    pickler.fast = True
+    pickler.dump(obj)
     stream.flush()
 
 
@@ -737,7 +841,7 @@ def _serve() -> None:
         while True:
             # one reply for the whole request, so that the parent reads
             # exactly one whatever passes the part was cut into
-            _send(replies, list(_answer(*pickle.load(sys.stdin.buffer))))
+            _send(replies, [_Result(r) for r in _answer(*pickle.load(sys.stdin.buffer))])
     except (EOFError, pickle.UnpicklingError, BrokenPipeError):
         os._exit(0)  # the parent has gone; there is nothing to flush
 

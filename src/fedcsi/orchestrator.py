@@ -134,6 +134,11 @@ def evaluate(
     delta, gamma, beta = (float(part.sum()) / len(part) if len(part) else None
                           for part in np.split(losses, [len(validation),
                                                         len(validation) + len(authentic)]))
+    # metrics.csv holds finite metrics only, as its reader requires
+    for name, value in (("mse_gamma", gamma), ("mse_delta", delta), ("mse_beta", beta)):
+        if value is not None and not np.isfinite(value):
+            raise RuntimeError(f"{name} is {value} in round {round_index}: the model's "
+                               "outputs or the labels overflow")
     mode, deployment, r_a = _attack_fields(config.attack)
     return MetricsRecord(
         round=round_index,

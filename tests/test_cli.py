@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import random
 import re
 import subprocess
 import sys
@@ -92,6 +94,15 @@ def test_parse_error_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "rounds": 1,\n  "oops"\n}')
     with pytest.raises(ConfigError, match=":4"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("content", [b'{"rounds": 1' + b"0" * 5000 + b"}", b'{"rounds": \xff}'],
+                         ids=["5001 digits", "not utf-8"])
+def test_unreadable_config_is_named(tmp_path, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
         parse_config(path)
 
 
@@ -473,6 +484,84 @@ def test_plot_deterministic(tmp_path):
     cli.run(["plot", str(csv_path), "--out", str(out_b)])
     for name in ("plot_mse_gamma.svg", "plot_mse_delta.svg", "plot_mse_beta.svg"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+_GOOD_ROW = "1,0.4,0.5,0.3,stomedian,reverse,widespread,0.2,1"
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("1,0.4,0.5,0.3,stomedian,reverse", "6 fields, expected 9"),
+    (_GOOD_ROW + ",extra", "10 fields, expected 9"),
+    ("1,0.4,abc,0.3,stomedian,reverse,widespread,0.2,1", "mse_delta must be a finite number"),
+    ("1,nan,0.5,0.3,stomedian,reverse,widespread,0.2,1", "mse_gamma must be a finite number"),
+    ("1,0.4,0.5,-inf,stomedian,reverse,widespread,0.2,1", "mse_beta must be a finite number"),
+    ("1,0.4,1e999,0.3,stomedian,reverse,widespread,0.2,1", "mse_delta must be a finite number"),
+    ("1.5,0.4,0.5,0.3,stomedian,reverse,widespread,0.2,1", "round must be an integer"),
+    ("1" * 400 + ",0.4,0.5,0.3,stomedian,reverse,widespread,0.2,1", "round must be an integer"),
+    ("1,0.4,0.5,0.3,stomedian,reverse,widespread,x,1", "r_a must be a finite number"),
+    ("1,0.4,0.5,0.3,stomedian,reverse,widespread,0.2,", "seed must be an integer"),
+    ('1,0.4,0.5,0.3,"' + "x" * 200_000 + '",reverse,widespread,0.2,1', "field larger than"),
+], ids=["short", "long", "text", "nan", "-inf", "overflow", "round", "huge round", "r_a",
+        "seed", "huge field"])
+def test_plot_names_the_line_of_a_bad_row(tmp_path, capsys, row, problem):
+    csv_path = tmp_path / "hand.csv"
+    csv_path.write_text(",".join(cli.CSV_FIELDS) + "\n" + _GOOD_ROW + "\n" + row + "\n")
+    assert cli.run(["plot", str(csv_path), "--out", str(tmp_path / "plots")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fedcsi: error: {csv_path}:3: ") and problem in err
+    assert not (tmp_path / "plots").exists()
+
+
+_FUZZ_TOKENS = [",", "\n", "\r", '"', "{", "}", "[", "]", ":", "-", ".", "e", "0", "7",
+                "nan", "inf", "1e999", "null", "true", '"x"', " ", "\x00", "\xff", "\u00e9"]
+
+
+def _mutated(text: str, rng) -> str:
+    """`text` with one or two random deletions, insertions, replacements or
+    duplicated spans."""
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 8))
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + text[j:]
+        elif op == 1:
+            text = text[:i] + rng.choice(_FUZZ_TOKENS) + text[i:]
+        elif op == 2:
+            text = text[:i] + rng.choice(_FUZZ_TOKENS) + text[j:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def test_fuzzed_metrics_csvs_and_configs_fail_cleanly(tmp_path, capsys, monkeypatch):
+    # every mutation is read without error or rejected with one error line
+    # that names the file, never with a traceback; no experiment runs
+    monkeypatch.setattr(cli, "run_experiment", lambda config: [])
+    rng = random.Random(2024)
+    metrics = "\n".join([",".join(cli.CSV_FIELDS), "0,0.5,0.6,,fedavg,none,none,0.0,1",
+                         _GOOD_ROW, ""])
+    config = json.dumps({**TINY, "attack": {"mode": "reverse", "deployment": "widespread",
+                                            "ratio": 0.25},
+                         "aggregator": {"kind": "trimmed_mean", "trim_a": 1},
+                         "llpf": {"enabled": True}}, indent=1)
+    outcomes = dict.fromkeys(itertools.product((".csv", ".json"), (0, 1)), 0)
+    for case in range(1000):
+        path = tmp_path / ("fuzz.csv" if case % 2 else "fuzz.json")
+        # "\xff" is written as a lone byte, so that some files are not UTF-8
+        text = _mutated(metrics if case % 2 else config, rng)
+        path.write_bytes(text.encode().replace("\xff".encode(), b"\xff"))
+        argv = (["plot", str(path)] if case % 2 else ["run", "--config", str(path)])
+        code = cli.run(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (text, err)
+        outcomes[path.suffix, code] += 1
+        if code:
+            assert err.count("\n") == 1 and err.startswith(f"fedcsi: error: {path}"), (text, err)
+        else:
+            assert err == "", (text, err)
+    # both outcomes occur, so the mutations reach past the parsers' first checks
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 # --------------------------- baselines command -------------------------------

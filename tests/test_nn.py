@@ -432,11 +432,13 @@ def test_gradient_working_set_does_not_grow_with_batch(spec):
 
 
 def test_chunk_size_of_the_default_and_desk_specs():
-    # a default-spec Adam step of batch 4 spans two chunks, so that a helper
-    # process can take one; the desk spec stays at its byte bound of 27
+    # a chunk is at most half a pass, so that a pass-sized gradient spans
+    # two chunks and a helper process can take one: a default-spec Adam step
+    # of batch 4, and a desk-spec step of 24 samples (chunks of 13 and 11)
     assert nn._chunk_size(nn.default_network_spec()) == 2
     assert nn._pass_size(nn.default_network_spec()) == 4
-    assert nn._chunk_size(desk_spec()) == nn._pass_size(desk_spec()) == 27
+    assert nn._chunk_size(desk_spec()) == 13
+    assert nn._pass_size(desk_spec()) == 27
 
 
 # --------------------------- helper processes -----------------------------
@@ -461,17 +463,51 @@ def _engine_bytes(spec, p, xs, ys):
     return nn.forward_batch(spec, p, xs).tobytes(), grad.tobytes(), loss
 
 
-@pytest.mark.parametrize("batch", [1, 2, 5, 64])
+def _desk_call(name):
+    """A desk-spec engine call that is shared out, giving its bytes, and the
+    number of parts it is cut into with enough helpers."""
+    spec, rng = desk_spec(), np.random.default_rng(65)
+    xs = rng.normal(size=(24,) + spec.input_shape)
+    if name == "desk gradient":
+        # two chunks of 13 and 11 samples, each counted at three forwards
+        ys = rng.normal(size=(24,) + spec.input_shape[:2] + (2,))
+        p = nn.init_params(spec, 65)
+        return lambda: nn.batch_gradient(spec, p, xs, ys)[0].tobytes(), 2
+    # 10 draws of 24 samples: one part for each 2^24 multiply-adds begun
+    draws = np.stack([nn.init_params(spec, seed) for seed in range(10)])
+    return lambda: nn.forward_sum(spec, draws, xs).tobytes(), 5
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 64, "desk gradient", "ensemble"])
 def test_engine_bytes_do_not_depend_on_the_helper_count(helpers, batch):
-    spec, p, xs, ys = _default_batch(batch)
-    # one part for each 2^24 forward multiply-adds begun: 1, 1, 2 and 25
-    parts = -(-batch * nn._sample_macs(spec) // nn._CHUNK_MACS)
+    if isinstance(batch, str):
+        call, parts = _desk_call(batch)
+    else:
+        spec, p, xs, ys = _default_batch(batch)
+        call = lambda: _engine_bytes(spec, p, xs, ys)  # noqa: E731
+        # one part for each 2^24 forward multiply-adds begun: 1, 1, 2 and 25
+        parts = -(-batch * nn._sample_macs(spec) // nn._CHUNK_MACS)
     results = []
     for count in (0, 1, 2):
         helpers(count)
-        results.append(_engine_bytes(spec, p, xs, ys))
+        results.append(call())
         assert len(nn._pool) >= min(count, parts - 1)
     assert results[1] == results[0] and results[2] == results[0]
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_forward_sum_adds_each_draws_own_forward_in_draw_order(helpers, count):
+    # 9 default-spec samples make three passes, each of which a part of the
+    # draws runs with one layer-0 unfold
+    spec, _, xs, _ = _default_batch(9)
+    draws = np.stack([nn.init_params(spec, seed) for seed in range(3)])
+    helpers(0)
+    want = np.zeros(xs.shape[:3] + (2,))
+    for params in draws:
+        want += nn.forward_batch(spec, params, xs)
+    helpers(count)
+    assert nn.forward_sum(spec, draws, xs).tobytes() == want.tobytes()
+    assert len(nn._pool) >= count
 
 
 def test_one_cpu_starts_no_helper(monkeypatch):
@@ -577,6 +613,24 @@ def test_helper_answers_a_part_with_one_reply():
         helper.close()
     assert len(replies) == 1
     assert [r.tobytes() for r in replies[0]] == [r.tobytes() for r in nn._answer(*part)]
+
+
+def test_a_helper_reply_is_not_held_whole(helpers):
+    # each pass of a helper's reply goes into the output as it is read, so
+    # beyond the output a shared forward holds the same few MB at any batch
+    spec, p, xs, _ = _default_batch(1200)
+    helpers(1)
+    nn.forward_batch(spec, p, xs[:8])  # start the helper outside the trace
+    extra = []
+    for n in (300, 1200):
+        tracemalloc.start()
+        try:
+            out = nn.forward_batch(spec, p, xs[:n])
+            extra.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+        finally:
+            tracemalloc.stop()
+    # a reply read whole: about 7 MB more at 1200 samples than at 300
+    assert extra[1] <= extra[0] + (1 << 20)
 
 
 def test_threads_share_the_helpers_safely(helpers):

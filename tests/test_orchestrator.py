@@ -381,6 +381,17 @@ def test_diverging_station_named_before_aggregation(kind):
             run_experiment(cfg)
 
 
+def test_overflowing_metric_ends_the_run():
+    # a collusion payload of 1e200 is finite, but the MSE against it is not;
+    # metrics.csv, whose reader rejects non-finite metrics, never holds it
+    payload = np.full((12, 8, 2), 1e200)
+    cfg = desk_config(rounds=1, attack=AttackPlan(mode="collusion", deployment="widespread",
+                                                  ratio=0.25, collusion_payload=payload))
+    with np.errstate(all="ignore"):
+        with pytest.raises(RuntimeError, match=r"^mse_beta is inf in round 1: "):
+            run_experiment(cfg)
+
+
 def test_persist_caches_reuses_round_one_data():
     cfg = desk_config(persist_caches=True, rounds=2)
     state, _ = run_round(start_state(cfg), cfg)
@@ -434,3 +445,32 @@ def test_fedbe_round_runs():
     records = run_cached(cfg)
     assert len(records) == 2
     assert records[1].aggregator == "fedbe(S=3)"
+
+
+def test_fedbe_desk_run_does_not_depend_on_the_helper_count(monkeypatch):
+    # the benchmark's desk FedBE shape: its 24-sample pre-training and
+    # distillation steps span two gradient chunks, and its ensemble of ten
+    # draws is shared out by draws
+    from fedcsi.cli import metrics_to_csv
+    acts = ("selu", "softplus", "selu")
+    layers = tuple(nn.LayerSpec(3, 3, f, a) for f, a in zip((10, 6, 2), acts))
+    cfg = ExperimentConfig(
+        n_sbs=3, rounds=2, cache_len_lo=6, cache_len_hi=8, i_min=8, pretrain_size=24,
+        validation_size=8, pretrain_epochs=2, epochs=1, batch_size=64, learning_rate=2e-3,
+        network=nn.NetworkSpec(layers=layers, input_shape=(36, 10, 2)),
+        channel=channel.ChannelConfig(grid_height=36, grid_width=10, path_count=12,
+                                      max_delay_taps=1, doppler_spread=0.02,
+                                      pilot_noise_stddev=0.15, gain_scale=3.0),
+        attack=AttackPlan(mode="collusion", deployment="targeted", ratio=0.2, target_sbs=0),
+        aggregator=aggregation.Aggregator(kind="fedbe", fedbe_samples=10, fedbe_distill_epochs=2),
+        llpf=LlpfConfig(enabled=True), master_seed=0,
+    )
+    csvs = []
+    try:
+        for count in (0, 1):
+            monkeypatch.setattr(nn, "_helper_count", lambda count=count: count)
+            csvs.append(metrics_to_csv(orchestrator.run_experiment(cfg)))
+            assert len(nn._pool) >= count
+    finally:
+        nn._stop_helpers()
+    assert csvs[1] == csvs[0]
