@@ -196,9 +196,9 @@ def fed_be(
     ensemble = nn.forward_sum(spec, draws, inputs)
     ensemble /= samples
     return nn.train_minibatch(
-        spec, mu, inputs, ensemble, epochs=distill_epochs, batch_size=batch_size,
-        learning_rate=learning_rate, rng=rng,
-    )
+        spec, mu, [(inputs, ensemble, rng)], epochs=distill_epochs, batch_size=batch_size,
+        learning_rate=learning_rate,
+    )[0]
 
 
 def aggregate(

@@ -19,6 +19,7 @@ import multiprocessing
 import os
 import pickle
 import platform
+import queue
 import signal
 import subprocess
 import sys
@@ -481,7 +482,7 @@ def forward_batch(spec: NetworkSpec, params: np.ndarray, xs: np.ndarray) -> np.n
         out[start:start + len(outputs)] = outputs
         start += len(outputs)
 
-    _pass_results("forward", spec, params, [xs], (), place)
+    _pass_results("forward", spec, [(params, [xs], ())], place)
     return out
 
 
@@ -502,37 +503,53 @@ def forward_sum(spec: NetworkSpec, draws: np.ndarray, xs: np.ndarray) -> np.ndar
         for output in outputs:
             rows += output
 
-    _pass_results("ensemble", spec, draws, [xs], (), add)
+    _pass_results("ensemble", spec, [(draws, [xs], ())], add)
     return total
+
+
+def batch_gradients(spec: NetworkSpec, jobs: list) -> list[tuple[np.ndarray, float]]:
+    """For each job (params, inputs, targets): the gradient of its
+    batch-mean MSE w.r.t. the flat params, plus the loss.
+
+    One engine call: its units are the chunks of `_chunk_size` samples of
+    every job, in job order.  A job's gradient and squared error add up its
+    own chunks in chunk order, wherever each chunk is computed, so each
+    job's result is the same bit for bit as in a call of its own.
+    """
+    checked = []
+    for params, inputs, targets in jobs:
+        if inputs.shape[0] == 0:
+            raise ValueError("empty batch")
+        _check_input(spec, inputs)
+        output = inputs.shape[:3] + (spec.layers[-1].filters,)
+        if targets.shape != output:
+            raise ValueError(f"targets shape {targets.shape} != output {output}")
+        layer_params(spec, params)
+        # batch-mean of per-sample mean MSE: every element carries 1/(A*H*W*C)
+        checked.append((params, [np.asarray(inputs, dtype=np.float64), targets],
+                        (2.0 / targets.size,)))
+    grads = [np.zeros(params.size) for params, _, _ in checked]
+    sses = [0.0] * len(checked)
+    chunk = _chunk_size(spec)
+    owners = iter([j for j, (_, arrays, _) in enumerate(checked)
+                   for _ in range(0, len(arrays[0]), chunk)])
+
+    def add(result):
+        j = next(owners)
+        grads[j] += result[0]
+        sses[j] += result[1]
+
+    _pass_results("gradient", spec, checked, add)
+    return [(grad, sse / targets.size)
+            for grad, sse, (_, (_, targets), _) in zip(grads, sses, checked)]
 
 
 def batch_gradient(
     spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Gradient of the batch-mean MSE w.r.t. the flat params, plus the loss.
-
-    The batch runs in chunks of `_chunk_size` samples, whose gradients and
-    squared errors add up in chunk order, wherever each chunk is computed.
-    """
-    if inputs.shape[0] == 0:
-        raise ValueError("empty batch")
-    _check_input(spec, inputs)
-    output = inputs.shape[:3] + (spec.layers[-1].filters,)
-    if targets.shape != output:
-        raise ValueError(f"targets shape {targets.shape} != output {output}")
-    layer_params(spec, params)
-    inputs = np.asarray(inputs, dtype=np.float64)
-    grad = np.zeros(params.size)
-    sse = 0.0
-
-    def add(chunk):
-        nonlocal grad, sse
-        grad += chunk[0]
-        sse += chunk[1]
-
-    # batch-mean of per-sample mean MSE: every element carries 1/(A*H*W*C)
-    _pass_results("gradient", spec, params, [inputs, targets], (2.0 / targets.size,), add)
-    return grad, sse / targets.size
+    """One job's `batch_gradients`, for callers outside the package: the
+    benchmark's per-layer conv timings (`perfbench/bench.py`) call it."""
+    return batch_gradients(spec, [(params, inputs, targets)])[0]
 
 
 def _forward_pass(spec: NetworkSpec, weights: list, xs: np.ndarray,
@@ -609,16 +626,17 @@ _TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk,
 # A call of more than _CHUNK_MACS forward multiply-adds shares its work
 # out: its units are cut into contiguous parts, one for each _CHUNK_MACS
 # begun and at most one a process; this process computes the first, and
-# each helper process one of the others.  A forward's units are samples,
-# placed by position.  A gradient's are whole chunks, whose gradients the
-# caller adds in chunk order; a gradient sample counts as three forward
-# ones (the forward, the kernel gradient and the input gradient).  An
-# ensemble's (`forward_sum`) are whole draws, whose outputs the caller adds
-# in draw order.  None of this depends on where a part is computed, so the
-# bytes are the same whatever the number of helpers.  A smaller call, under
-# about 5 ms of work, stays here: waking an idle helper took 0.33 ms at the
-# median and over a millisecond in the tail, and sharing the desk spec's
-# 48-sample evaluations made them slower.
+# each helper process one of the others.  A part carries the params of each
+# of its jobs once.  A forward's units are samples, placed by position.  A
+# gradient's are the whole chunks of all its jobs, in job order, whose
+# gradients the caller adds to their own job's in chunk order; a gradient
+# sample counts as three forward ones (the forward, the kernel gradient and
+# the input gradient).  An ensemble's (`forward_sum`) are whole draws, whose
+# outputs the caller adds in draw order.  None of this depends on where a
+# part is computed, so the bytes are the same whatever the number of
+# helpers.  A smaller call, under about 5 ms of work, stays here: waking an
+# idle helper took 0.33 ms at the median and over a millisecond in the
+# tail, and sharing the desk spec's 48-sample evaluations made them slower.
 #
 # The helpers start at the first call that can use them: one per CPU this
 # process may run on beyond the first, at most _MAX_HELPERS, and none in a
@@ -627,8 +645,8 @@ _TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk,
 # a fork, which warns when BLAS threads exist, nor a multiprocessing spawn,
 # which imports the caller's __main__ again.  A helper exits when its stdin
 # closes, so it does not outlive this process even when that is killed.  A
-# helper that fails has its part computed here, with the same bytes, and a
-# new one starts at the next call.
+# helper that fails has the results of its part that it did not send
+# computed here, with the same bytes, and a new one starts at the next call.
 
 _MAX_HELPERS = 3
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -663,35 +681,33 @@ def _helpers(most: int) -> list["_Helper"]:
     return _pool[:want]
 
 
-def _pass_results(task: str, spec: NetworkSpec, params: np.ndarray, arrays: list,
-                  extra: tuple, take) -> None:
-    """Hand `take` each `_answer` result of `task`, in order.  The units are
-    the samples of the per-sample `arrays`, or for an ensemble the rows of
-    `params`.  A call of more than _CHUNK_MACS forward multiply-adds is cut
-    into contiguous parts of whole units: the first is computed here, the
-    others by helpers, unless another thread is using them."""
+def _pass_results(task: str, spec: NetworkSpec, jobs: list, take) -> None:
+    """Hand `take` each `_answer` result of `task` on `jobs`, in order.  A
+    job is (params, per-sample arrays, extra arguments).  Its units are the
+    samples of its arrays, for a gradient whole chunks of them, or for an
+    ensemble the rows of its params.  A call of more than _CHUNK_MACS
+    forward multiply-adds is cut into contiguous parts of whole units: the
+    first is computed here, the others by helpers, unless another thread is
+    using them."""
     ensemble = task == "ensemble"
-    # the units, and the forward multiply-adds of each
-    n = len(params) if ensemble else len(arrays[0])
-    per_unit = {"forward": 1, "gradient": 3, "ensemble": len(arrays[0])}[task]
-    unit_macs = per_unit * _sample_macs(spec)
     # the chunks fix a gradient's summation order, so its parts and passes
     # are whole chunks; a sample's output does not depend on its pass
     align, step = (_chunk_size(spec),) * 2 if task == "gradient" else (1, _pass_size(spec))
     if not _pool_lock.acquire(blocking=False):
-        for result in _answer(task, spec, params, arrays, extra, step):
+        for result in _answer(task, spec, jobs, step):
             take(result)
         return
     helpers = []
     try:
-        units = -(-n // align)
+        sizes = [len(params) if ensemble else len(arrays[0]) for params, arrays, _ in jobs]
+        units = [-(-n // align) for n in sizes]
+        # forward samples per sample, or per row of an ensemble's params
+        per_unit = {"forward": 1, "gradient": 3, "ensemble": len(jobs[0][1][0])}[task]
+        macs = sum(sizes) * per_unit * _sample_macs(spec)
         # one part for each _CHUNK_MACS forward multiply-adds begun
-        helpers = _helpers(min(units, -(-n * unit_macs // _CHUNK_MACS)) - 1)
-        parts = len(helpers) + 1
-        cuts = [units * j // parts * align for j in range(parts + 1)]
-        work = [(task, spec, params[lo:hi], arrays, extra, step) if ensemble else
-                (task, spec, params, [a[lo:hi] for a in arrays], extra, step)
-                for lo, hi in zip(cuts, cuts[1:])]
+        helpers = _helpers(min(sum(units), -(-macs // _CHUNK_MACS)) - 1)
+        work = [(task, spec, part, step)
+                for part in _parts(jobs, units, align, len(helpers) + 1, ensemble)]
         for helper, part in zip(helpers, work[1:]):
             helper.ask(part)
         for result in _answer(*work[0]):
@@ -707,14 +723,37 @@ def _pass_results(task: str, spec: NetworkSpec, params: np.ndarray, arrays: list
         _pool_lock.release()
 
 
-def _answer(task: str, spec: NetworkSpec, params: np.ndarray, arrays: list, extra: tuple,
-            step: int):
-    """The results of `task` on each pass of `step` samples of `arrays`; an
-    ensemble's passes run every row of `params`."""
-    weights = ([layer_params(spec, row) for row in params] if task == "ensemble"
-               else layer_params(spec, params))
-    for start in range(0, len(arrays[0]), step):
-        yield _TASKS[task](spec, weights, *(a[start:start + step] for a in arrays), *extra)
+def _parts(jobs: list, units: list, align: int, count: int, ensemble: bool) -> list[list]:
+    """`jobs`, of `units` units of `align` samples (or rows) each, cut into
+    `count` contiguous parts of about as many units: each part the list of
+    the slices of the jobs in it."""
+    bounds = list(itertools.accumulate(units, initial=0))
+    cuts = [bounds[-1] * j // count for j in range(count + 1)]
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = []
+        for (params, arrays, extra), first, last in zip(jobs, bounds, bounds[1:]):
+            a, b = (max(lo, first) - first) * align, (min(hi, last) - first) * align
+            if a < b:
+                part.append((params[a:b], arrays, extra) if ensemble else
+                            (params, [x[a:b] for x in arrays], extra))
+        parts.append(part)
+    return parts
+
+
+def _answer(task: str, spec: NetworkSpec, jobs: list, step: int, skip: int = 0):
+    """The results of `task` on each pass of `step` samples of each job's
+    arrays, job after job, but the first `skip`, which are not computed;
+    an ensemble's passes run every row of its params."""
+    for params, arrays, extra in jobs:
+        starts = range(0, len(arrays[0]), step)
+        starts, skip = starts[skip:], max(0, skip - len(starts))
+        if not starts:
+            continue
+        weights = ([layer_params(spec, row) for row in params] if task == "ensemble"
+                   else layer_params(spec, params))
+        for start in starts:
+            yield _TASKS[task](spec, weights, *(a[start:start + step] for a in arrays), *extra)
 
 
 def _result(value):
@@ -732,9 +771,13 @@ class _Result:
         return _result, (self.value,)
 
 
+_END = "end of reply"  # sent after a reply's last result
+
+
 class _Reply(pickle.Unpickler):
-    """Reads a helper's reply and hands each result to `take` as soon as it
-    is read, so that the reply is never held whole."""
+    """Reads a helper's reply, one pickle per result and then _END, and
+    hands each result to `take` as soon as it is read, so that the reply is
+    never held whole."""
 
     def __init__(self, stream, take) -> None:
         super().__init__(stream)
@@ -744,6 +787,11 @@ class _Reply(pickle.Unpickler):
         if (module, name) == (__name__, _result.__name__):
             return self.take
         return super().find_class(module, name)
+
+    def take_all(self) -> None:
+        # a result loads as what `take` returns, which is not _END
+        while self.load() != _END:
+            pass
 
 
 class _Helper:
@@ -775,13 +823,13 @@ class _Helper:
             taken += 1
 
         try:
-            _Reply(self.process.stdout, count).load()
+            _Reply(self.process.stdout, count).take_all()
             self.pending = False
             return
         except (OSError, EOFError, pickle.UnpicklingError):
             log.warning("engine helper %d failed; computing its part here", self.process.pid)
             self.close()
-        for result in itertools.islice(_answer(*part), taken, None):
+        for result in _answer(*part, skip=taken):
             take(result)
 
     def close_pipes(self) -> None:
@@ -832,18 +880,36 @@ def _send(stream, obj) -> None:
 
 
 def _serve() -> None:
-    """A helper's loop: answer each request on stdin with the list of its
-    results on stdout, until stdin closes."""
+    """A helper's loop: answer each request on stdin on stdout, each result
+    as soon as it is computed and then _END, until stdin closes.
+
+    A thread sends the results, so that computing goes on while the pipe is
+    full: the parent reads a helper's reply only once it has computed its
+    own part."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
+    outbox = queue.SimpleQueue()  # None when stdin has closed
+
+    def send():
+        try:
+            while (message := outbox.get()) is not None:
+                _send(replies, message)
+        except BrokenPipeError:
+            os._exit(0)  # the parent has gone; there is nothing to flush
+
+    sender = threading.Thread(target=send, daemon=True)
+    sender.start()
     try:
         while True:
-            # one reply for the whole request, so that the parent reads
-            # exactly one whatever passes the part was cut into
-            _send(replies, [_Result(r) for r in _answer(*pickle.load(sys.stdin.buffer))])
-    except (EOFError, pickle.UnpicklingError, BrokenPipeError):
-        os._exit(0)  # the parent has gone; there is nothing to flush
+            for result in _answer(*pickle.load(sys.stdin.buffer)):
+                outbox.put(_Result(result))
+            # the parent reads up to here, whatever passes the part was cut into
+            outbox.put(_END)
+    except (EOFError, pickle.UnpicklingError):
+        outbox.put(None)
+        sender.join()
+        os._exit(0)
 
 
 # --------------------------- training ------------------------------------
@@ -855,51 +921,73 @@ ADAM_EPS = 1e-8
 def train_minibatch(
     spec: NetworkSpec,
     params: np.ndarray,
-    inputs: np.ndarray,
-    targets: np.ndarray,
+    datasets: list,
     *,
     epochs: int,
     batch_size: int,
     learning_rate: float,
-    rng: np.random.Generator,
     beta1: float = 0.9,
     optimizer: str = "adam",
     max_steps: Optional[int] = None,
-) -> np.ndarray:
-    """Mini-batch SGD or Adam with per-epoch shuffling from `rng`.
+) -> list[np.ndarray]:
+    """Mini-batch SGD or Adam from `params` on each of the datasets
+    (inputs, targets, rng), with per-epoch shuffling from its rng; one
+    trained vector per dataset.
 
-    The last partial batch of each epoch is kept.  With `max_steps` the loop
-    stops after that many optimizer steps regardless of epoch boundaries
-    (used for the fixed-step SGD mode).  Adam's moments start at zero for
-    each call, with decay rates `beta1` and ADAM_BETA2.
+    The datasets train in lockstep: each step is one `batch_gradients` call
+    for the next mini-batch of every dataset still training, and each
+    dataset's steps are the same as if it trained alone.  The last partial
+    batch of each epoch is kept.  With `max_steps` a dataset stops after
+    that many optimizer steps regardless of epoch boundaries (used for the
+    fixed-step SGD mode).  Adam's moments start at zero, with decay rates
+    `beta1` and ADAM_BETA2.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    if inputs.shape[0] == 0:
+    if any(inputs.shape[0] == 0 for inputs, _, _ in datasets):
         raise ValueError("empty training set")
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
     layer_params(spec, params)  # checked here too, for runs that take no step
-    n = inputs.shape[0]
-    params = params.copy()
-    m = v = np.zeros(params.size)  # Adam's moments, rebound at each step
+    batches = [_batches(len(inputs), batch_size, epochs, max_steps, rng)
+               for inputs, _, rng in datasets]
+    trained = [params.copy() for _ in datasets]
+    zeros = np.zeros(params.size)
+    m, v = [zeros] * len(datasets), [zeros] * len(datasets)  # Adam's moments, rebound
+    # every dataset still training has taken as many steps as the others
+    steps = 0
+    training = list(range(len(datasets)))
+    while True:
+        stepping = [(i, idx) for i in training if (idx := next(batches[i], None)) is not None]
+        if not stepping:
+            return trained
+        training = [i for i, _ in stepping]
+        steps += 1
+        grads = batch_gradients(spec, [(trained[i], datasets[i][0][idx], datasets[i][1][idx])
+                                       for i, idx in stepping])
+        for i, (grad, _) in zip(training, grads):
+            if optimizer == "sgd":
+                trained[i] = trained[i] - learning_rate * grad
+                continue
+            m[i] = beta1 * m[i] + (1.0 - beta1) * grad
+            v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m[i] / (1.0 - beta1 ** steps)
+            v_hat = v[i] / (1.0 - ADAM_BETA2 ** steps)
+            trained[i] = trained[i] - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def _batches(n: int, batch_size: int, epochs: int, max_steps: Optional[int],
+             rng: np.random.Generator):
+    """The index arrays of one dataset's mini-batches: each epoch shuffles
+    its n samples with one permutation from rng, drawn only for an epoch
+    that is begun."""
     steps = 0
     for _ in range(epochs):
         order = rng.permutation(n)
         for s in range(0, n, batch_size):
             if max_steps is not None and steps >= max_steps:
-                break
-            idx = order[s:s + batch_size]
-            grad, _ = batch_gradient(spec, params, inputs[idx], targets[idx])
+                return
             steps += 1
-            if optimizer == "sgd":
-                params = params - learning_rate * grad
-                continue
-            m = beta1 * m + (1.0 - beta1) * grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = m / (1.0 - beta1 ** steps)
-            v_hat = v / (1.0 - ADAM_BETA2 ** steps)
-            params = params - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            yield order[s:s + batch_size]
         if max_steps is not None and steps >= max_steps:
-            break
-    return params
+            return

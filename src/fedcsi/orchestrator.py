@@ -177,43 +177,45 @@ def pretrain(config: ExperimentConfig) -> tuple[np.ndarray, list, list]:
     if epochs > 0:
         inputs = np.stack([s.input for s in pretrain_set])
         labels = np.stack([s.label for s in pretrain_set])
-        params = nn.train_minibatch(
-            config.network, params, inputs, labels,
+        params, = nn.train_minibatch(
+            config.network, params, [(inputs, labels, derive_rng(seed, "pretrain-shuffle"))],
             epochs=epochs, batch_size=config.batch_size,
             learning_rate=config.learning_rate, beta1=config.momentum,
-            rng=derive_rng(seed, "pretrain-shuffle"),
         )
     return params, pretrain_set, validation_set
 
 
 def local_train(
     global_params: np.ndarray,
-    cache: channel.CachedDataset,
+    caches: list,
     config: ExperimentConfig,
     round_index: int,
-) -> aggregation.WeightUpdate:
-    """Fine-tune a copy of the global model on one cache in training round
-    `round_index`, which keys the shuffles (a persisted cache keeps round 1).
+) -> list[aggregation.WeightUpdate]:
+    """Fine-tune a copy of the global model on each of one round's caches in
+    training round `round_index`, which keys the shuffles (a persisted
+    cache keeps round 1).  The caches train in lockstep, each as if alone;
+    the updates come in cache order.
 
     The reported dataset length is the client-owned (pre-top-up) count, so
     server padding never inflates a station's aggregation weight.
     """
-    if cache.l_n == 0:
+    if any(cache.l_n == 0 for cache in caches):
         raise ValueError("cannot train on an empty cache")
-    rng = derive_rng(config.master_seed, "local-train", round_index, cache.sbs_id)
-    inputs = np.stack([s.input for s in cache.samples])
-    labels = np.stack([s.label for s in cache.samples])
+    datasets = [(np.stack([s.input for s in cache.samples]),
+                 np.stack([s.label for s in cache.samples]),
+                 derive_rng(config.master_seed, "local-train", round_index, cache.sbs_id))
+                for cache in caches]
     sgd = config.local_mode == "steps_sgd"
     trained = nn.train_minibatch(
-        config.network, global_params, inputs, labels,
+        config.network, global_params, datasets,
         epochs=max(config.sgd_steps, 1) if sgd else config.epochs,
         batch_size=config.batch_size, learning_rate=config.learning_rate,
-        beta1=config.momentum, rng=rng, optimizer="sgd" if sgd else "adam",
+        beta1=config.momentum, optimizer="sgd" if sgd else "adam",
         max_steps=config.sgd_steps if sgd else None,
     )
-    return aggregation.WeightUpdate(
-        params=trained, l_n=cache.aggregation_len, sbs_id=cache.sbs_id
-    )
+    return [aggregation.WeightUpdate(params=params, l_n=cache.aggregation_len,
+                                     sbs_id=cache.sbs_id)
+            for params, cache in zip(trained, caches)]
 
 
 def _exclude_authentic(
@@ -291,7 +293,7 @@ def run_round(
         ]
     else:
         filtered = caches
-    updates = [local_train(state.global_params, cache, config, t) for cache in filtered]
+    updates = local_train(state.global_params, filtered, config, t)
     for update in updates:
         _check_finite(update.params, lambda i: f"station {update.sbs_id} diverged in round "
                       f"{t}: its local update has a non-finite value at coordinate {i}")

@@ -6,6 +6,8 @@ formatting and a fixed palette indexed by series order.
 """
 from __future__ import annotations
 
+import math
+import sys
 from typing import Sequence
 
 WIDTH, HEIGHT = 640, 420
@@ -15,6 +17,11 @@ PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
+
+
+def _padded(lo: float, hi: float) -> tuple[float, float]:
+    pad = 0.05 * (hi - lo)
+    return lo - pad, hi + pad
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -41,9 +48,13 @@ def render_line_chart(
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+        # by 0.5, or by a share of a value too large to move by 0.5
+        half = max(0.5, abs(y_lo) * 2.0 ** -40)
+        y_lo, y_hi = y_lo - half, y_hi + half
+    # a range that overflows the floats once padded is laid out in quarters:
+    # dividing by a power of two is exact, so no point moves
+    scale = 1.0 if all(map(math.isfinite, _padded(y_lo, y_hi))) else 4.0
+    y_lo, y_hi = _padded(y_lo / scale, y_hi / scale)
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
@@ -51,7 +62,7 @@ def render_line_chart(
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
-        return MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + plot_h - (y / scale - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -76,7 +87,9 @@ def render_line_chart(
             f'font-family="sans-serif" font-size="11">{tx:.6g}</text>'
         )
     for ty in _ticks(y_lo, y_hi):
-        y = py(ty)
+        y = MARGIN_T + plot_h - (ty - y_lo) / (y_hi - y_lo) * plot_h
+        # the padded ends of a scaled range may lie beyond the floats
+        ty = max(-sys.float_info.max, min(ty * scale, sys.float_info.max))
         out.append(
             f'<line x1="{MARGIN_L - 5}" y1="{y:.2f}" x2="{MARGIN_L}" y2="{y:.2f}" '
             f'stroke="black"/>'

@@ -12,8 +12,9 @@ import fedcsi
 PACKAGE = Path(fedcsi.__file__).parent
 
 # kept for the planned round trace, which reports each station's share of
-# StoMedian's aggregation weight
-ALLOWED = {"aggregation.sto_median_probabilities"}
+# StoMedian's aggregation weight; and the one-job gradient that the
+# benchmark's per-layer conv timings (perfbench/bench.py) call
+ALLOWED = {"aggregation.sto_median_probabilities", "nn.batch_gradient"}
 
 
 def _modules() -> dict[str, ast.Module]:

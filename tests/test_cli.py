@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 import re
 import subprocess
@@ -484,6 +485,27 @@ def test_plot_deterministic(tmp_path):
     cli.run(["plot", str(csv_path), "--out", str(out_b)])
     for name in ("plot_mse_gamma.svg", "plot_mse_delta.svg", "plot_mse_beta.svg"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_plot_of_extreme_metrics_holds_finite_numbers(tmp_path):
+    # mse_delta spans more than the float range (1e308 - -1e308 overflows),
+    # and mse_gamma is a constant too large to move by 0.5
+    csv_path = tmp_path / "extreme.csv"
+    csv_path.write_text(
+        ",".join(cli.CSV_FIELDS) + "\n"
+        "0,1e20,1e308,,fedavg,none,none,0.0,1\n"
+        "1,1e20,-1e308,,fedavg,none,none,0.0,1\n"
+    )
+    out = tmp_path / "plots"
+    assert cli.run(["plot", str(csv_path), "--out", str(out)]) == 0
+    for name in ("plot_mse_gamma.svg", "plot_mse_delta.svg"):
+        svg = (out / name).read_text()
+        coords = re.findall(r' (?:x|y|x1|x2|y1|y2|cx|cy)="([^"]*)"', svg)
+        coords += [c for points in re.findall(r'points="([^"]*)"', svg)
+                   for c in points.replace(",", " ").split()]
+        labels = re.findall(r">([^<]*)</text>", svg)[1:11]  # the tick labels
+        assert len(coords) > 20 and len(labels) == 10
+        assert all(math.isfinite(float(v)) for v in coords + labels), name
 
 
 _GOOD_ROW = "1,0.4,0.5,0.3,stomedian,reverse,widespread,0.2,1"

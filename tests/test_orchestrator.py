@@ -117,13 +117,13 @@ def start_state(cfg):
 
 
 def spy_local_train(monkeypatch):
-    """Record the (round, cache) of every `local_train` call."""
+    """Record the (round, cache) of every cache that `local_train` trains."""
     trained = []
     real = orchestrator.local_train
 
-    def spy(global_params, cache, config, round_index):
-        trained.append((round_index, cache))
-        return real(global_params, cache, config, round_index)
+    def spy(global_params, caches, config, round_index):
+        trained.extend((round_index, cache) for cache in caches)
+        return real(global_params, caches, config, round_index)
 
     monkeypatch.setattr(orchestrator, "local_train", spy)
     return trained
@@ -135,7 +135,7 @@ def test_local_train_zero_epochs_identity():
     cfg = desk_config(epochs=0)
     params, pre, _ = pretrain(cfg)
     cache = channel.CachedDataset(samples=pre[:6], sbs_id=0, round_index=1)
-    update = local_train(params, cache, cfg, 1)
+    update, = local_train(params, [cache], cfg, 1)
     assert np.array_equal(update.params, params)
     assert update.l_n == 6
 
@@ -145,8 +145,8 @@ def test_local_train_identical_caches_identical_updates():
     params, pre, _ = pretrain(cfg)
     cache_a = channel.CachedDataset(samples=pre[:6], sbs_id=2, round_index=1)
     cache_b = channel.CachedDataset(samples=list(pre[:6]), sbs_id=2, round_index=1)
-    ua = local_train(params, cache_a, cfg, 1)
-    ub = local_train(params, cache_b, cfg, 1)
+    ua, = local_train(params, [cache_a], cfg, 1)
+    ub, = local_train(params, [cache_b], cfg, 1)
     assert np.array_equal(ua.params, ub.params)
 
 
@@ -155,7 +155,7 @@ def test_local_train_uses_pre_topup_weight():
     params, pre, _ = pretrain(cfg)
     cache = channel.CachedDataset(samples=pre[:4], sbs_id=0, round_index=1)
     topped = channel.topup_with_pretrain(cache, pre, 8, np.random.default_rng(0))
-    update = local_train(params, topped, cfg, 1)
+    update, = local_train(params, [topped], cfg, 1)
     assert topped.l_n == 8
     assert update.l_n == 4
 
@@ -164,8 +164,27 @@ def test_local_train_steps_sgd_mode():
     cfg = desk_config(local_mode="steps_sgd", sgd_steps=3)
     params, pre, _ = pretrain(cfg)
     cache = channel.CachedDataset(samples=pre[:6], sbs_id=1, round_index=1)
-    update = local_train(params, cache, cfg, 1)
+    update, = local_train(params, [cache], cfg, 1)
     assert not np.array_equal(update.params, params)
+
+
+@pytest.mark.parametrize("mode", ["epochs_adam", "steps_sgd"])
+def test_lockstep_stations_get_the_bytes_they_get_alone(monkeypatch, mode):
+    # ragged caches at batch 2: stations drop out of the lockstep at
+    # different steps, and a default-spec step of all three is shared out
+    cfg = ExperimentConfig(epochs=2, batch_size=2, local_mode=mode, sgd_steps=3, master_seed=8)
+    caches = channel.generate_round_caches(cfg.channel, [3, 5, 6], np.random.default_rng(9))
+    params = nn.init_params(cfg.network, 10)
+    try:
+        for count in (0, 1, 2):
+            monkeypatch.setattr(nn, "_helper_count", lambda count=count: count)
+            together = local_train(params, caches, cfg, 1)
+            alone = [local_train(params, [cache], cfg, 1)[0] for cache in caches]
+            assert [(u.sbs_id, u.l_n, u.params.tobytes()) for u in together] == \
+                [(u.sbs_id, u.l_n, u.params.tobytes()) for u in alone]
+            assert len(nn._pool) >= count
+    finally:
+        nn._stop_helpers()
 
 
 def test_local_training_loss_mostly_non_increasing():
@@ -176,9 +195,9 @@ def test_local_training_loss_mostly_non_increasing():
     # the loss after k epochs: the same seed replays the first k epochs exactly
     losses = []
     for k in range(1, 21):
-        trained = nn.train_minibatch(
-            cfg.network, params, inputs, labels, epochs=k, batch_size=8,
-            learning_rate=0.001, rng=np.random.default_rng(3),
+        trained, = nn.train_minibatch(
+            cfg.network, params, [(inputs, labels, np.random.default_rng(3))], epochs=k,
+            batch_size=8, learning_rate=0.001,
         )
         losses.append(mse(nn.forward_batch(cfg.network, trained, inputs), labels))
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a)
