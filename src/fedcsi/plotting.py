@@ -61,8 +61,8 @@ def render_line_chart(
     def px(x: float) -> float:
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
-        return MARGIN_T + plot_h - (y / scale - y_lo) / (y_hi - y_lo) * plot_h
+    def py(y: float) -> float:  # y in units of `scale`
+        return MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -87,7 +87,7 @@ def render_line_chart(
             f'font-family="sans-serif" font-size="11">{tx:.6g}</text>'
         )
     for ty in _ticks(y_lo, y_hi):
-        y = MARGIN_T + plot_h - (ty - y_lo) / (y_hi - y_lo) * plot_h
+        y = py(ty)
         # the padded ends of a scaled range may lie beyond the floats
         ty = max(-sys.float_info.max, min(ty * scale, sys.float_info.max))
         out.append(
@@ -105,13 +105,13 @@ def render_line_chart(
     )
     for i, (label, pts) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        coords = " ".join(f"{px(x):.2f},{py(y / scale):.2f}" for x, y in pts)
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
         for x, y in pts:
             out.append(
-                f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="{color}"/>'
+                f'<circle cx="{px(x):.2f}" cy="{py(y / scale):.2f}" r="2.5" fill="{color}"/>'
             )
         ly = MARGIN_T + 10 + 16 * i
         lx = MARGIN_L + plot_w - 150
