@@ -889,7 +889,7 @@ def _serve() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
-    outbox = queue.SimpleQueue()  # None when stdin has closed
+    outbox = queue.SimpleQueue()  # of messages to send; None, once stdin has closed, ends it
 
     def send():
         try:

@@ -465,8 +465,8 @@ def _engine_bytes(spec, p, xs, ys):
 
 def _gradient_jobs():
     """Three default-spec jobs of 4, 2 and 3 samples with their own params:
-    five chunks of two samples or fewer, of which two parts of three cut
-    the first job's."""
+    five chunks of at most two samples.  Cut into three parts, the first
+    job's two chunks fall into two parts."""
     jobs = []
     for j, batch in enumerate((4, 2, 3)):
         spec, p, xs, ys = _default_batch(batch, seed=70 + j)
@@ -478,7 +478,7 @@ def _job_bytes(results):
     return [(grad.tobytes(), loss) for grad, loss in results]
 
 
-def _desk_call(name):
+def _shared_call(name):
     """An engine call that is shared out, giving its bytes, and the number
     of parts it is cut into with enough helpers: a desk-spec one, or the
     default-spec `_gradient_jobs`."""
@@ -500,7 +500,7 @@ def _desk_call(name):
 @pytest.mark.parametrize("batch", [1, 2, 5, 64, "desk gradient", "ensemble", "jobs"])
 def test_engine_bytes_do_not_depend_on_the_helper_count(helpers, batch):
     if isinstance(batch, str):
-        call, parts = _desk_call(batch)
+        call, parts = _shared_call(batch)
     else:
         spec, p, xs, ys = _default_batch(batch)
         call = lambda: _engine_bytes(spec, p, xs, ys)  # noqa: E731
