@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import gradient
-
 from fedcsi import attacks, channel, nn
 from fedcsi.attacks import AttackPlan
 from fedcsi.seeds import derive_rng
@@ -76,7 +74,7 @@ def test_colluded_batch_gradient_points_toward_payload():
     p = np.zeros(2)
     xs = np.ones((2, 1, 1, 1))
     ys = np.full((2, 1, 1, 1), 5.0)
-    grad, _ = gradient(spec, p, xs, ys)
+    grad, _ = nn.batch_gradient(spec, p, xs, ys)
     act_slope = nn.SELU_LAMBDA * nn.SELU_ALPHA  # selu' at 0 from the else branch
     assert grad[0] == pytest.approx(-10.0 * act_slope / 1.0, rel=1e-12)
     assert grad[0] < 0  # a gradient step moves w toward fitting the payload

@@ -8,8 +8,11 @@ default-spec run whose calls are large enough for the engine to share with
 a helper process.
 
 Where the environment matches the one that recorded the table (numpy
-version, BLAS, machine, Python minor version) the sha256 of each run's
-`metrics.csv` must match exactly.  Elsewhere the metric values must match
+version, BLAS, machine, the CPU's SIMD extensions, Python minor version)
+the sha256 of each run's `metrics.csv` must match exactly.  The SIMD
+extensions stand for the CPU: OpenBLAS picks its kernels for the CPU it
+runs on, and numpy its loops, so the last bits can differ between CPUs
+with the same build.  Elsewhere the metric values must match
 within REL_TOL, because another BLAS or numpy may round differently.
 
 A change that is meant to change bytes regenerates the table in the same
@@ -81,14 +84,17 @@ CASES = {
 
 
 def fingerprint() -> dict:
-    """What decides a run's rounding: numpy, its BLAS, the machine, Python."""
+    """What decides a run's rounding: numpy, its BLAS, the machine, the
+    CPU's SIMD extensions, Python."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas.get('name')} {blas.get('version')}"
+        config = np.show_config(mode="dicts")
     except TypeError:  # numpy before 1.25 prints its config only
-        blas = "unknown"
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas")
+    blas = f"{blas.get('name')} {blas.get('version')}" if blas else "unknown"
+    simd = config.get("SIMD Extensions", {}).get("found", "unknown")
     return {"numpy": np.__version__, "blas": blas, "machine": platform.machine(),
-            "python": "%d.%d" % sys.version_info[:2]}
+            "simd": simd, "python": "%d.%d" % sys.version_info[:2]}
 
 
 def run_case(config: dict) -> dict:
