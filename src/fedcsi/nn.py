@@ -19,7 +19,6 @@ import multiprocessing
 import os
 import pickle
 import platform
-import queue
 import signal
 import subprocess
 import sys
@@ -547,8 +546,9 @@ def batch_gradients(spec: NetworkSpec, jobs: list) -> list[tuple[np.ndarray, flo
 def batch_gradient(
     spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """One job's `batch_gradients`, for callers outside the package: the
-    benchmark's per-layer conv timings (`perfbench/bench.py`) call it."""
+    """One job's `batch_gradients`.  The package trains through
+    `batch_gradients`; the benchmark's per-layer conv timings
+    (`perfbench/bench.py`) and the tests call this."""
     return batch_gradients(spec, [(params, inputs, targets)])[0]
 
 
@@ -645,8 +645,9 @@ _TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk,
 # a fork, which warns when BLAS threads exist, nor a multiprocessing spawn,
 # which imports the caller's __main__ again.  A helper exits when its stdin
 # closes, so it does not outlive this process even when that is killed.  A
-# helper that fails has the results of its part that it did not send
-# computed here, with the same bytes, and a new one starts at the next call.
+# helper that fails has the results of its part that were not read from
+# it computed here, with the same bytes, and a new one starts at the next
+# call.
 
 _MAX_HELPERS = 3
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -771,13 +772,9 @@ class _Result:
         return _result, (self.value,)
 
 
-_END = "end of reply"  # sent after a reply's last result
-
-
 class _Reply(pickle.Unpickler):
-    """Reads a helper's reply, one pickle per result and then _END, and
-    hands each result to `take` as soon as it is read, so that the reply is
-    never held whole."""
+    """Reads a helper's reply and hands each result to `take` as soon as it
+    is read, so that the reply is never held whole."""
 
     def __init__(self, stream, take) -> None:
         super().__init__(stream)
@@ -787,11 +784,6 @@ class _Reply(pickle.Unpickler):
         if (module, name) == (__name__, _result.__name__):
             return self.take
         return super().find_class(module, name)
-
-    def take_all(self) -> None:
-        # a result loads as what `take` returns, which is not _END
-        while self.load() != _END:
-            pass
 
 
 class _Helper:
@@ -823,7 +815,7 @@ class _Helper:
             taken += 1
 
         try:
-            _Reply(self.process.stdout, count).take_all()
+            _Reply(self.process.stdout, count).load()
             self.pending = False
             return
         except (OSError, EOFError, pickle.UnpicklingError):
@@ -880,36 +872,18 @@ def _send(stream, obj) -> None:
 
 
 def _serve() -> None:
-    """A helper's loop: answer each request on stdin on stdout, each result
-    as soon as it is computed and then _END, until stdin closes.
-
-    A thread sends the results, so that computing goes on while the pipe is
-    full: the parent reads a helper's reply only once it has computed its
-    own part."""
+    """A helper's loop: answer each request on stdin with the list of its
+    results on stdout, until stdin closes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
-    outbox = queue.SimpleQueue()  # of messages to send; None, once stdin has closed, ends it
-
-    def send():
-        try:
-            while (message := outbox.get()) is not None:
-                _send(replies, message)
-        except BrokenPipeError:
-            os._exit(0)  # the parent has gone; there is nothing to flush
-
-    sender = threading.Thread(target=send, daemon=True)
-    sender.start()
     try:
         while True:
-            for result in _answer(*pickle.load(sys.stdin.buffer)):
-                outbox.put(_Result(result))
-            # the parent reads up to here, whatever passes the part was cut into
-            outbox.put(_END)
-    except (EOFError, pickle.UnpicklingError):
-        outbox.put(None)
-        sender.join()
-        os._exit(0)
+            # one reply for the whole request, so that the parent reads
+            # exactly one whatever passes the part was cut into
+            _send(replies, [_Result(r) for r in _answer(*pickle.load(sys.stdin.buffer))])
+    except (EOFError, pickle.UnpicklingError, BrokenPipeError):
+        os._exit(0)  # the parent has gone; there is nothing to flush
 
 
 # --------------------------- training ------------------------------------

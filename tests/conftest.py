@@ -22,11 +22,6 @@ def forward_one(spec, params, x):
     return nn.forward_batch(spec, params, x[None])[0]
 
 
-def gradient(spec, params, inputs, targets):
-    """One batch's gradient and loss: a call of one job through the engine."""
-    return nn.batch_gradients(spec, [(params, inputs, targets)])[0]
-
-
 def mse(pred, target) -> float:
     """Mean squared error of two arrays of one shape."""
     assert pred.shape == target.shape, (pred.shape, target.shape)

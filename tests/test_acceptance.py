@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import gradient, mse, ranking_config, run_cached
+from conftest import mse, ranking_config, run_cached
 
 from fedcsi import channel, cli, llpf, nn, orchestrator
 from fedcsi import aggregation as agg
@@ -54,7 +54,7 @@ def test_c01_gradient_oracle():
     rng = np.random.default_rng(12)
     xs = rng.normal(size=(3, 7, 5, 2))
     ys = rng.normal(size=(3, 7, 5, 2))
-    analytic, _ = gradient(spec, params, xs, ys)
+    analytic, _ = nn.batch_gradient(spec, params, xs, ys)
     h = 1e-5
     flat = params.copy()
     fd = np.zeros_like(flat)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import forward_one, gradient, mse
+from conftest import forward_one, mse
 
 from fedcsi import nn
 
@@ -197,7 +197,7 @@ def test_wrong_rank_input_rejected(shape):
     with pytest.raises(ValueError, match=r"input shape \(" + ", ".join(map(str, shape))):
         nn.forward_batch(spec, p, xs)
     with pytest.raises(ValueError, match="input shape"):
-        gradient(spec, p, xs, np.zeros(shape))
+        nn.batch_gradient(spec, p, xs, np.zeros(shape))
 
 
 def test_forward_deterministic_bitwise():
@@ -229,7 +229,7 @@ def test_backward_zero_residual_zero_grad():
     rng = np.random.default_rng(5)
     xs = rng.normal(size=(3,) + spec.input_shape)
     targets = nn.forward_batch(spec, p, xs)  # labels equal predictions
-    grad, loss = gradient(spec, p, xs, targets)
+    grad, loss = nn.batch_gradient(spec, p, xs, targets)
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
@@ -238,7 +238,7 @@ def test_backward_empty_batch_error():
     spec = tiny_spec()
     p = nn.init_params(spec, 5)
     with pytest.raises(ValueError, match="empty batch"):
-        gradient(spec, p, np.zeros((0,) + spec.input_shape), np.zeros((0, 6, 5, 2)))
+        nn.batch_gradient(spec, p, np.zeros((0,) + spec.input_shape), np.zeros((0, 6, 5, 2)))
 
 
 def finite_difference_grad(spec, params, xs, ys, h=1e-5):
@@ -260,7 +260,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(17)
     xs = rng.normal(size=(3,) + spec.input_shape)
     ys = rng.normal(size=(3, 5, 4, 2))
-    grad, _ = gradient(spec, p, xs, ys)
+    grad, _ = nn.batch_gradient(spec, p, xs, ys)
     fd = finite_difference_grad(spec, p, xs, ys)
     assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
@@ -278,7 +278,7 @@ def test_gradient_kernel_shapes_match_finite_differences(kh, kw):
     p += rng.uniform(-0.1, 0.1, p.size)  # non-zero biases too
     xs = rng.normal(size=(2,) + spec.input_shape)
     ys = rng.normal(size=(2, 5, 3, 2))
-    grad, _ = gradient(spec, p, xs, ys)
+    grad, _ = nn.batch_gradient(spec, p, xs, ys)
     fd = finite_difference_grad(spec, p, xs, ys)
     assert np.allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
@@ -299,7 +299,7 @@ def test_gradient_through_a_wide_layer_matches_finite_differences(kh, kw):
     p += rng.uniform(-0.1, 0.1, p.size)
     xs = rng.normal(size=(2,) + spec.input_shape)
     ys = rng.normal(size=(2, 5, 3, 2))
-    grad, _ = gradient(spec, p, xs, ys)
+    grad, _ = nn.batch_gradient(spec, p, xs, ys)
     h = 1e-5
     for i in rng.choice(p.size, size=60, replace=False):
         up, down = p.copy(), p.copy()
@@ -320,7 +320,7 @@ def test_gradient_linear_layer_closed_form():
     xs = rng.uniform(0.5, 1.5, size=(4, 2, 2, 1))
     lam = nn.SELU_LAMBDA
     ys = lam * w0 * xs - rng.uniform(0.1, 0.3, size=xs.shape)  # residuals positive
-    grad, _ = gradient(spec, p, xs, ys)
+    grad, _ = nn.batch_gradient(spec, p, xs, ys)
     n_elem = xs.size
     manual_w = 0.0
     manual_b = 0.0
@@ -340,8 +340,8 @@ def test_gradient_scales_with_residual_doubling():
     xs = rng.uniform(0.5, 1.5, size=(5, 3, 2, 1))
     pred = nn.forward_batch(spec, p, xs)
     resid = rng.uniform(0.05, 0.2, size=pred.shape)
-    g1, _ = gradient(spec, p, xs, pred - resid)
-    g2, _ = gradient(spec, p, xs, pred - 2.0 * resid)
+    g1, _ = nn.batch_gradient(spec, p, xs, pred - resid)
+    g2, _ = nn.batch_gradient(spec, p, xs, pred - 2.0 * resid)
     assert np.allclose(g2, 2.0 * g1, rtol=1e-12)
 
 
@@ -365,8 +365,8 @@ def test_samples_do_not_mix_in_the_batch(kh, kw):
         for i in range(4):
             if i != j:
                 assert np.array_equal(out[i], base[i])
-    grad, _ = gradient(spec, p, xs, ys)
-    singles = [gradient(spec, p, xs[i:i + 1], ys[i:i + 1])[0] for i in range(4)]
+    grad, _ = nn.batch_gradient(spec, p, xs, ys)
+    singles = [nn.batch_gradient(spec, p, xs[i:i + 1], ys[i:i + 1])[0] for i in range(4)]
     assert np.allclose(grad, np.mean(singles, axis=0), rtol=1e-12, atol=0)
 
 
@@ -388,8 +388,8 @@ def test_batch_spanning_two_chunks_matches_single_samples(spec):
     out = nn.forward_batch(spec, p, xs)
     for x, got in zip(xs, out):
         assert np.array_equal(got, forward_one(spec, p, x))
-    grad, loss = gradient(spec, p, xs, ys)
-    singles = np.array([gradient(spec, p, xs[i:i + 1], ys[i:i + 1])[0]
+    grad, loss = nn.batch_gradient(spec, p, xs, ys)
+    singles = np.array([nn.batch_gradient(spec, p, xs[i:i + 1], ys[i:i + 1])[0]
                         for i in range(n)])
     # rtol 1e-12 of the terms' mean magnitude: a few coordinates cancel to
     # 1e-4 of their terms, where either summation order moves the last digits
@@ -423,7 +423,7 @@ def test_gradient_working_set_does_not_grow_with_batch(spec):
     def peak_bytes(batch):
         tracemalloc.start()
         try:
-            gradient(spec, p, xs[:batch], ys[:batch])
+            nn.batch_gradient(spec, p, xs[:batch], ys[:batch])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -459,7 +459,7 @@ def _default_batch(batch, seed=63):
 
 
 def _engine_bytes(spec, p, xs, ys):
-    grad, loss = gradient(spec, p, xs, ys)
+    grad, loss = nn.batch_gradient(spec, p, xs, ys)
     return nn.forward_batch(spec, p, xs).tobytes(), grad.tobytes(), loss
 
 
@@ -491,7 +491,7 @@ def _shared_call(name):
         # two chunks of 13 and 11 samples, each counted at three forwards
         ys = rng.normal(size=(24,) + spec.input_shape[:2] + (2,))
         p = nn.init_params(spec, 65)
-        return lambda: gradient(spec, p, xs, ys)[0].tobytes(), 2
+        return lambda: nn.batch_gradient(spec, p, xs, ys)[0].tobytes(), 2
     # 10 draws of 24 samples: one part for each 2^24 multiply-adds begun
     draws = np.stack([nn.init_params(spec, seed) for seed in range(10)])
     return lambda: nn.forward_sum(spec, draws, xs).tobytes(), 5
@@ -518,7 +518,7 @@ def test_engine_bytes_do_not_depend_on_the_helper_count(helpers, batch):
 def test_batch_gradients_gives_each_job_the_bytes_of_its_own_call(helpers, count):
     spec, jobs = _gradient_jobs()
     helpers(0)
-    alone = [gradient(spec, *job) for job in jobs]
+    alone = [nn.batch_gradient(spec, *job) for job in jobs]
     helpers(count)
     assert _job_bytes(nn.batch_gradients(spec, jobs)) == _job_bytes(alone)
     assert len(nn._pool) >= count
@@ -546,7 +546,7 @@ def test_one_cpu_starts_no_helper(monkeypatch):
     else:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
     spec, p, xs, ys = _default_batch(6)
-    gradient(spec, p, xs, ys)
+    nn.batch_gradient(spec, p, xs, ys)
     assert nn._pool == []
 
 
@@ -585,16 +585,18 @@ def test_killed_helper_has_its_part_computed_here(helpers, monkeypatch, caplog, 
     assert len(nn._pool) == 1 and nn._pool[0].process.poll() is None
 
 
-def test_helper_that_dies_mid_reply_has_only_its_unsent_results_computed_here(
+def test_helper_that_dies_mid_reply_has_only_its_unread_results_computed_here(
         helpers, monkeypatch, caplog):
-    # the helper sends the first of its part's two passes, then exits
-    spec, p, xs, _ = _default_batch(16)
+    # the helper's reply of its part's four passes breaks off at three
+    # quarters, in the pickle frame after the one that ends the first pass
+    spec, p, xs, _ = _default_batch(32)
     helpers(0)
     want = nn.forward_batch(spec, p, xs).tobytes()
     root = str(Path(nn.__file__).resolve().parents[1])
-    code = (f"import pickle, sys; sys.path.insert(0, {root!r}); from fedcsi import nn; "
-            "part = pickle.load(sys.stdin.buffer); "
-            "nn._send(sys.stdout.buffer, nn._Result(next(nn._answer(*part))))")
+    code = (f"import io, pickle, sys; sys.path.insert(0, {root!r}); from fedcsi import nn; "
+            "part = pickle.load(sys.stdin.buffer); reply = io.BytesIO(); "
+            "nn._send(reply, [nn._Result(r) for r in nn._answer(*part)]); "
+            "reply = reply.getvalue(); sys.stdout.buffer.write(reply[:len(reply) * 3 // 4])")
 
     def start(helper):
         helper.process = subprocess.Popen([sys.executable, "-c", code],
@@ -609,8 +611,8 @@ def test_helper_that_dies_mid_reply_has_only_its_unsent_results_computed_here(
     with caplog.at_level(logging.WARNING, logger="fedcsi.nn"):
         assert nn.forward_batch(spec, p, xs).tobytes() == want
     assert "failed; computing its part here" in caplog.text
-    # this process's own two passes, and the one the helper did not send
-    assert len(passes) == 3
+    # this process's own four passes, and the three it did not read
+    assert len(passes) == 7
 
 
 def test_helper_that_cannot_start_leaves_its_part_here(helpers, monkeypatch, caplog):
@@ -638,7 +640,7 @@ def test_call_that_raises_leaves_no_reply_behind(helpers, monkeypatch):
     want = _engine_bytes(spec, p, xs, ys)
     helpers(1)
     other = _default_batch(4, seed=64)
-    gradient(*other)
+    nn.batch_gradient(*other)
     task = nn._TASKS["gradient"]
 
     def fail(*args):
@@ -646,14 +648,13 @@ def test_call_that_raises_leaves_no_reply_behind(helpers, monkeypatch):
 
     monkeypatch.setitem(nn._TASKS, "gradient", fail)
     with pytest.raises(KeyboardInterrupt):
-        gradient(*other)
+        nn.batch_gradient(*other)
     monkeypatch.setitem(nn._TASKS, "gradient", task)
     assert _engine_bytes(spec, p, xs, ys) == want
 
 
 def test_helper_answers_a_part_with_one_reply():
-    # a reply is each result as soon as it is computed, then the end
-    # marker, up to which the parent reads: with no marker, a helper that cut
+    # the parent reads one reply a part; with one a pass, a helper that cut
     # its part into other passes than the parent expected left it blocked
     spec, p, xs, _ = _default_batch(8)
     part = ("forward", spec, [(p, [xs], ())], nn._pass_size(spec))  # two passes
@@ -669,8 +670,8 @@ def test_helper_answers_a_part_with_one_reply():
                 break
     finally:
         helper.close()
-    assert replies[-1] == nn._END
-    assert [r.tobytes() for r in replies[:-1]] == [r.tobytes() for r in nn._answer(*part)]
+    assert len(replies) == 1
+    assert [r.tobytes() for r in replies[0]] == [r.tobytes() for r in nn._answer(*part)]
 
 
 def test_a_helper_reply_is_not_held_whole(helpers):
@@ -696,12 +697,12 @@ def test_threads_share_the_helpers_safely(helpers):
     # chunks themselves, so no thread reads another's replies
     helpers(1)
     batches = [_default_batch(4, seed=70 + i) for i in range(4)]
-    want = [gradient(*b)[0].tobytes() for b in batches]
+    want = [nn.batch_gradient(*b)[0].tobytes() for b in batches]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=len(batches)) as pool:
-            futures = [pool.submit(lambda b: [gradient(*b)[0].tobytes()
+            futures = [pool.submit(lambda b: [nn.batch_gradient(*b)[0].tobytes()
                                               for _ in range(5)], b) for b in batches]
             got = [f.result(timeout=120) for f in futures]
     finally:
@@ -814,7 +815,7 @@ def test_engine_rejects_params_of_another_spec():
         with pytest.raises(ValueError, match="150 entries"):
             nn.forward_batch(a, bad, xs)
         with pytest.raises(ValueError, match="150 entries"):
-            gradient(a, bad, xs, ys)
+            nn.batch_gradient(a, bad, xs, ys)
         with pytest.raises(ValueError, match="150 entries"):  # even with no step to take
             nn.train_minibatch(a, bad, [(xs, ys, np.random.default_rng(0))], epochs=0,
                                batch_size=3, learning_rate=0.1)
@@ -874,7 +875,7 @@ def test_train_minibatch_max_steps_sgd():
             if steps >= 4:
                 break
             idx = order[s:s + 2]
-            g, _ = gradient(spec, flat, xs[idx], ys[idx])
+            g, _ = nn.batch_gradient(spec, flat, xs[idx], ys[idx])
             flat = flat - 0.01 * g
             steps += 1
         if steps >= 4:
@@ -940,7 +941,7 @@ def test_train_minibatch_adam_replay():
         order = replay_rng.permutation(7)
         for s in range(0, 7, 3):
             idx = order[s:s + 3]
-            g, _ = gradient(spec, flat, xs[idx], ys[idx])
+            g, _ = nn.batch_gradient(spec, flat, xs[idx], ys[idx])
             t += 1
             m = 0.8 * m + (1 - 0.8) * g
             v = 0.999 * v + (1 - 0.999) * g * g
@@ -957,7 +958,7 @@ def test_zero_gradient_leaves_params_unchanged():
     xs = np.random.default_rng(48).normal(size=(5,) + spec.input_shape)
     # targets equal to the network's own output: every gradient is zero
     ys = nn.forward_batch(spec, p, xs)
-    assert not gradient(spec, p, xs, ys)[0].any()
+    assert not nn.batch_gradient(spec, p, xs, ys)[0].any()
     for optimizer in ("sgd", "adam"):
         out, = nn.train_minibatch(
             spec, p, [(xs, ys, np.random.default_rng(49))], epochs=4, batch_size=2,
