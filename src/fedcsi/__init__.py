@@ -30,7 +30,7 @@ from .channel import (
     make_sample,
     topup_with_pretrain,
 )
-from .llpf import LlpfConfig, classify_losses, filter_cache, per_sample_losses, trunc_gauss_cdf
+from .llpf import LlpfConfig, classify_losses, filter_caches, per_sample_losses, trunc_gauss_cdf
 from .nn import (
     LayerSpec,
     NetworkSpec,

@@ -85,7 +85,10 @@ class CachedDataset:
 
 
 def split_complex(grid: np.ndarray) -> np.ndarray:
-    return np.stack([grid.real, grid.imag], axis=-1)
+    """The (..., 2) float64 view of the contiguous complex grid: its real
+    and imaginary parts, last axis."""
+    grid = np.ascontiguousarray(grid, dtype=np.complex128)
+    return grid.view(np.float64).reshape(grid.shape + (2,))
 
 
 def draw_fading(cfg: ChannelConfig, rng: np.random.Generator) -> FadingParams:
@@ -101,11 +104,20 @@ def channel_grid(
     fading: FadingParams, height: int, width: int, time_offset: float = 0.0
 ) -> np.ndarray:
     """H[f, t] = sum_p a_p exp(-j2pi f tau_p / H) exp(j2pi nu_p (t + offset))."""
-    f = np.arange(height)[:, None]
     t = np.arange(width)[:, None] + time_offset
-    steer_f = np.exp(-2j * np.pi * f * fading.delays[None, :] / height)
+    steer_f = _delay_steering(height, int(fading.delays.max())).take(fading.delays, axis=1)
     steer_t = np.exp(2j * np.pi * t * fading.dopplers[None, :])
     return (steer_f * fading.gains) @ steer_t.T
+
+
+@functools.lru_cache(maxsize=8)
+def _delay_steering(height: int, taps: int) -> np.ndarray:
+    """Column d holds exp(-j2pi f d / height) over the rows f, for each
+    integer delay d from 0 to `taps`.  Shared by every sample, so read-only."""
+    f = np.arange(height)[:, None]
+    table = np.exp(-2j * np.pi * f * np.arange(taps + 1)[None, :] / height)
+    table.flags.writeable = False
+    return table
 
 
 def _interp_matrix(n_out: int, knots: np.ndarray) -> np.ndarray:

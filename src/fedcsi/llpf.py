@@ -4,7 +4,8 @@ Each cached sample is scored by its loss under the current global model
 against a truncated-Gaussian CDF centred on the cache's median loss.
 Samples whose CDF value exceeds the determination threshold are treated as
 untrusted and swapped for randomly drawn trusted ones, keeping the cache
-length unchanged.
+length unchanged.  A round's caches are scored together, in one engine
+call.
 """
 from __future__ import annotations
 
@@ -74,20 +75,32 @@ def classify_losses(losses: np.ndarray, cfg: LlpfConfig) -> np.ndarray:
     return np.array([trunc_gauss_cdf(float(l), mu, cfg.k_sigma) > cfg.theta for l in losses])
 
 
-def filter_cache(
+def filter_caches(
     spec: nn.NetworkSpec,
     global_params: np.ndarray,
-    cache: CachedDataset,
+    caches: Sequence[CachedDataset],
     cfg: LlpfConfig,
-    rng: np.random.Generator,
-) -> CachedDataset:
-    """Swap untrusted samples for uniformly drawn trusted ones (with
-    replacement).  A cache with no anomalies is returned as-is; if nothing
-    is trusted the cache is also returned unchanged, with a warning.
+    rngs: Sequence[np.random.Generator],
+) -> list[CachedDataset]:
+    """Each cache with its untrusted samples swapped for uniformly drawn
+    trusted ones of its own (with replacement), drawn from its own rng.
+
+    Every cache is scored in one `per_sample_losses` call; a sample's loss
+    does not depend on its place in it, so each cache gets what it would
+    get alone.  A cache with no anomalies is returned as-is; if nothing in
+    a cache is trusted it is also returned unchanged, with a warning.
     """
-    if cache.l_n == 0:
+    if any(cache.l_n == 0 for cache in caches):
         raise ValueError("cannot filter an empty cache")
-    losses = per_sample_losses(spec, global_params, cache.samples)
+    losses = per_sample_losses(spec, global_params, [s for c in caches for s in c.samples])
+    bounds = np.cumsum([cache.l_n for cache in caches])[:-1]
+    return [_replace_untrusted(cache, cache_losses, cfg, rng) for cache, cache_losses, rng
+            in zip(caches, np.split(losses, bounds), rngs, strict=True)]
+
+
+def _replace_untrusted(
+    cache: CachedDataset, losses: np.ndarray, cfg: LlpfConfig, rng: np.random.Generator
+) -> CachedDataset:
     untrusted = classify_losses(losses, cfg)
     if not untrusted.any():
         return cache

@@ -35,7 +35,8 @@ SELU_ALPHA = 1.6732632423543772
 SOFTPLUS_CUTOFF = 30.0  # softplus(x) ~ x above this; avoids exp overflow
 _BLOCK_MACS = 1 << 19  # multiply-adds per matrix product in the conv plumbing
 _CHUNK_BYTES = 3 << 18  # widest-layer activation bytes per forward/gradient pass
-_CHUNK_MACS = 1 << 24  # forward multiply-adds per gradient chunk and per shared part
+_CHUNK_MACS = 1 << 24  # forward multiply-adds per gradient chunk
+_SHARE_MACS = 1 << 23  # forward multiply-adds per part of a shared call
 _NARROW = 16  # a layer with more channels on a side stores its buffers cells major
 _ALIGN = 64  # a channels-first product spans a multiple of this many cells
 ACTIVATIONS = ("selu", "softplus")
@@ -623,8 +624,8 @@ _TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk,
 
 # --------------------------- helper processes ----------------------------
 #
-# A call of more than _CHUNK_MACS forward multiply-adds shares its work
-# out: its units are cut into contiguous parts, one for each _CHUNK_MACS
+# A call of more than _SHARE_MACS forward multiply-adds shares its work
+# out: its units are cut into contiguous parts, one for each _SHARE_MACS
 # begun and at most one a process; this process computes the first, and
 # each helper process one of the others.  A part carries the params of each
 # of its jobs once.  A forward's units are samples, placed by position.  A
@@ -634,9 +635,10 @@ _TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk,
 # the input gradient).  An ensemble's (`forward_sum`) are whole draws, whose
 # outputs the caller adds in draw order.  None of this depends on where a
 # part is computed, so the bytes are the same whatever the number of
-# helpers.  A smaller call, under about 5 ms of work, stays here: waking an
-# idle helper took 0.33 ms at the median and over a millisecond in the
-# tail, and sharing the desk spec's 48-sample evaluations made them slower.
+# helpers.  A smaller call, under about 1 ms of work, stays here: that is
+# where sharing with a helper that idled 3 ms before the call broke even (a
+# desk-spec forward of 16 samples took 1.00 ms here and 1.14 ms shared, one
+# of 24 samples 1.42 ms here and 1.39 ms shared).
 #
 # The helpers start at the first call that can use them: one per CPU this
 # process may run on beyond the first, at most _MAX_HELPERS, and none in a
@@ -686,7 +688,7 @@ def _pass_results(task: str, spec: NetworkSpec, jobs: list, take) -> None:
     """Hand `take` each `_answer` result of `task` on `jobs`, in order.  A
     job is (params, per-sample arrays, extra arguments).  Its units are the
     samples of its arrays, for a gradient whole chunks of them, or for an
-    ensemble the rows of its params.  A call of more than _CHUNK_MACS
+    ensemble the rows of its params.  A call of more than _SHARE_MACS
     forward multiply-adds is cut into contiguous parts of whole units: the
     first is computed here, the others by helpers, unless another thread is
     using them."""
@@ -705,8 +707,8 @@ def _pass_results(task: str, spec: NetworkSpec, jobs: list, take) -> None:
         # forward samples per sample, or per row of an ensemble's params
         per_unit = {"forward": 1, "gradient": 3, "ensemble": len(jobs[0][1][0])}[task]
         macs = sum(sizes) * per_unit * _sample_macs(spec)
-        # one part for each _CHUNK_MACS forward multiply-adds begun
-        helpers = _helpers(min(sum(units), -(-macs // _CHUNK_MACS)) - 1)
+        # one part for each _SHARE_MACS forward multiply-adds begun
+        helpers = _helpers(min(sum(units), -(-macs // _SHARE_MACS)) - 1)
         work = [(task, spec, part, step)
                 for part in _parts(jobs, units, align, len(helpers) + 1, ensemble)]
         for helper, part in zip(helpers, work[1:]):

@@ -284,13 +284,10 @@ def run_round(
         caches, plan = _build_round_caches(config, t, plan, state.pretrain_set)
     _check_validation_separation(caches, state.validation_set)
     if config.llpf.enabled:
-        filtered = [
-            llpf.filter_cache(
-                config.network, state.global_params, cache, config.llpf,
-                derive_rng(seed, "llpf", t, cache.sbs_id),
-            )
-            for cache in caches
-        ]
+        filtered = llpf.filter_caches(
+            config.network, state.global_params, caches, config.llpf,
+            [derive_rng(seed, "llpf", t, cache.sbs_id) for cache in caches],
+        )
     else:
         filtered = caches
     updates = local_train(state.global_params, filtered, config, t)

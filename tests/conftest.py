@@ -17,6 +17,13 @@ def small_network(height, width, filters=(6, 4, 2), kernel=3):
     return nn.NetworkSpec(layers=tuple(layers), input_shape=(height, width, 2))
 
 
+@pytest.fixture
+def helpers(monkeypatch):
+    """Set the number of engine helper processes; stop them all afterwards."""
+    yield lambda count: monkeypatch.setattr(nn, "_helper_count", lambda: count)
+    nn._stop_helpers()
+
+
 def forward_one(spec, params, x):
     """One sample's output: a batch of one through the engine."""
     return nn.forward_batch(spec, params, x[None])[0]

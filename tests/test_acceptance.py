@@ -184,8 +184,8 @@ LLPF_MIN_RECALL = 0.60
 
 def test_c05_llpf_detection_power():
     # widespread reverse at r_a 0.2 on the ranking desk config, at gain 3,
-    # where LLPF's absolute sensitivity reaches the losses; one filter pass
-    # per station over round 1's poisoned caches, with the pipeline's streams
+    # where LLPF's absolute sensitivity reaches the losses; one filter call
+    # over round 1's poisoned caches, with the pipeline's streams
     start = time.time()
     caught = flagged = poisoned = 0
     per_seed = []
@@ -195,9 +195,9 @@ def test_c05_llpf_detection_power():
         params, pre, _ = pretrain(cfg)
         caches, _ = orchestrator._build_round_caches(cfg, 1, cfg.attack, pre)
         counts = np.zeros(3, dtype=int)  # caught, replaced, poisoned
-        for cache in caches:
-            out = llpf.filter_cache(cfg.network, params, cache, cfg.llpf,
-                                    derive_rng(seed, "llpf", 1, cache.sbs_id))
+        filtered = llpf.filter_caches(cfg.network, params, caches, cfg.llpf,
+                                      [derive_rng(seed, "llpf", 1, c.sbs_id) for c in caches])
+        for cache, out in zip(caches, filtered):
             for before, after in zip(cache.samples, out.samples):
                 bad, replaced = before.provenance != "authentic", after is not before
                 counts += (bad and replaced, replaced, bad)

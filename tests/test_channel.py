@@ -32,6 +32,38 @@ def test_single_static_path_gives_constant_grid():
     assert np.allclose(grid, 1.0 + 0.0j, atol=1e-15)
 
 
+def textbook_grid(fading, height, width, time_offset=0.0):
+    """H[f, t] = sum_p a_p exp(-j2pi f tau_p / H) exp(j2pi nu_p (t + offset)),
+    each steering matrix computed whole."""
+    f = np.arange(height)[:, None]
+    t = np.arange(width)[:, None] + time_offset
+    steer_f = np.exp(-2j * np.pi * f * fading.delays[None, :] / height)
+    steer_t = np.exp(2j * np.pi * t * fading.dopplers[None, :])
+    return (steer_f * fading.gains) @ steer_t.T
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(ChannelConfig(), id="default-72x14"),
+    pytest.param(ChannelConfig(grid_height=36, grid_width=10, max_delay_taps=1), id="desk-36x10"),
+    pytest.param(small_cfg(), id="small-12x8"),
+])
+def test_grid_and_lagged_label_are_the_formula_bit_for_bit_for_every_delay(cfg):
+    # the delay steering comes from a cached table of the integer delays
+    rng = derive_rng(3, "textbook")
+    h, w = cfg.grid_height, cfg.grid_width
+    sample = channel.make_sample(cfg, rng)
+    for taps in range(cfg.max_delay_taps + 1):
+        delays = rng.integers(0, taps + 1, size=cfg.path_count)
+        delays[0] = taps
+        fading = dataclasses.replace(channel.draw_fading(cfg, rng), delays=delays)
+        grid = channel.channel_grid(fading, h, w)
+        assert grid.tobytes() == textbook_grid(fading, h, w).tobytes()
+        lagged = textbook_grid(fading, h, w, time_offset=2.5)
+        label = channel.lagged_label(dataclasses.replace(sample, fading=fading), 2.5)
+        assert label.shape == (h, w, 2)
+        assert label.tobytes() == np.stack([lagged.real, lagged.imag], axis=-1).tobytes()
+
+
 def test_channel_power_montecarlo():
     cfg = small_cfg()
     rng = derive_rng(0, "power-check")

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import forward_one
+from test_nn import desk_spec
 
 from fedcsi import channel, llpf, nn
+from fedcsi.attacks import AttackPlan, poison_caches
 from fedcsi.llpf import LlpfConfig
 from fedcsi.seeds import derive_rng
 
@@ -135,7 +137,13 @@ def test_config_validation():
         LlpfConfig(k_sigma=0.0).validate()
 
 
-# --------------------------- filter_cache -----------------------------------
+# --------------------------- filter_caches ----------------------------------
+
+def filter_one(spec, params, cache, cfg, rng):
+    """One cache's `filter_caches`."""
+    out, = llpf.filter_caches(spec, params, [cache], cfg, [rng])
+    return out
+
 
 def test_filter_replaces_single_outlier():
     spec, params = zero_model()
@@ -144,7 +152,7 @@ def test_filter_replaces_single_outlier():
     # hand check: mu = 1, cdf(100) = 0.5 + 0.5 erf(0.6*99/sqrt(2)) ~ 1 > 0.95
     assert llpf.trunc_gauss_cdf(100.0, 1.0, 0.6) > 0.999
     assert llpf.trunc_gauss_cdf(1.0, 1.0, 0.6) == pytest.approx(0.5)
-    out = llpf.filter_cache(spec, params, cache, cfg, derive_rng(2, "filt"))
+    out = filter_one(spec, params, cache, cfg, derive_rng(2, "filt"))
     assert out.l_n == 10
     losses = llpf.per_sample_losses(spec, params, out.samples)
     assert np.allclose(losses, 1.0)
@@ -154,7 +162,7 @@ def test_filter_replaces_single_outlier():
 def test_filter_noop_returns_same_object():
     spec, params = zero_model()
     cache = cache_with_loss_values([2.0] * 6)
-    out = llpf.filter_cache(spec, params, cache, LlpfConfig(), derive_rng(3, "noop"))
+    out = filter_one(spec, params, cache, LlpfConfig(), derive_rng(3, "noop"))
     assert out is cache
 
 
@@ -164,7 +172,7 @@ def test_filter_empty_trusted_warns_and_keeps_cache(caplog):
     cache = cache_with_loss_values([4.0] * 5)
     cfg = LlpfConfig(theta=0.3)
     with caplog.at_level(logging.WARNING):
-        out = llpf.filter_cache(spec, params, cache, cfg, derive_rng(4, "warn"))
+        out = filter_one(spec, params, cache, cfg, derive_rng(4, "warn"))
     assert out is cache
     assert any("no trusted samples" in r.message for r in caplog.records)
 
@@ -173,12 +181,70 @@ def test_filter_preserves_length_and_draws_from_trusted():
     spec, params = zero_model()
     values = [0.5] * 12 + [50.0] * 4
     cache = cache_with_loss_values(values)
-    out = llpf.filter_cache(
-        spec, params, cache, LlpfConfig(theta=0.9), derive_rng(5, "draws")
-    )
+    out = filter_one(spec, params, cache, LlpfConfig(theta=0.9), derive_rng(5, "draws"))
     assert out.l_n == len(values)
     trusted_uids = {s.uid for s in cache.samples[:12]}
     for i in range(12, 16):
         assert out.samples[i].uid in trusted_uids
     # original cache untouched
     assert cache.samples[12].uid == 12
+
+
+def _poisoned_caches():
+    """Four desk-grid caches of 14-17 samples, a quarter of each reversed,
+    and a model that flags some of them: 62 samples in all, a desk-spec
+    forward of more than two 2^23 multiply-adds, so two helpers take a part
+    each, and the parts and passes do not end where the caches do."""
+    cfg = channel.ChannelConfig(grid_height=36, grid_width=10, max_delay_taps=1,
+                                doppler_spread=0.02, pilot_noise_stddev=0.15,
+                                gain_scale=3.0)
+    caches = channel.generate_round_caches(cfg, [14, 17, 15, 16], derive_rng(6, "caches"),
+                                           round_index=1)
+    caches = poison_caches(caches, AttackPlan(mode="reverse", deployment="widespread",
+                                              ratio=0.25), derive_rng(6, "poison"))
+    spec = desk_spec()
+    return spec, nn.init_params(spec, 6), caches
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_filter_caches_gives_each_cache_what_it_gets_alone(helpers, count):
+    spec, params, caches = _poisoned_caches()
+    cfg = LlpfConfig(theta=0.9, k_sigma=0.6)
+    helpers(0)
+    alone = [filter_one(spec, params, cache, cfg, derive_rng(6, "llpf", 1, cache.sbs_id))
+             for cache in caches]
+    helpers(count)
+    together = llpf.filter_caches(spec, params, caches, cfg,
+                                  [derive_rng(6, "llpf", 1, c.sbs_id) for c in caches])
+    assert len(nn._pool) >= count
+    replaced = []
+    for cache, want, got in zip(caches, alone, together):
+        # the same replaced positions, filled with the same sample objects
+        assert got.l_n == want.l_n
+        assert all(a is b for a, b in zip(got.samples, want.samples))
+        replaced.append(sum(a is not b for a, b in zip(cache.samples, got.samples)))
+    assert sum(n > 0 for n in replaced) >= 2, replaced
+
+
+def test_filter_caches_rejects_an_empty_cache():
+    spec, params = zero_model()
+    caches = [cache_with_loss_values([1.0] * 3), channel.CachedDataset(samples=[], sbs_id=1)]
+    with pytest.raises(ValueError, match="empty cache"):
+        llpf.filter_caches(spec, params, caches, LlpfConfig(),
+                           [derive_rng(7, "a"), derive_rng(7, "b")])
+
+
+def test_filter_caches_warns_for_the_cache_with_nothing_trusted(caplog):
+    # theta below 1/2 distrusts every loss from the median up: the first
+    # cache keeps its four low losses, the second has only equal ones
+    spec, params = zero_model()
+    first = cache_with_loss_values([1.0] * 4 + [4.0] * 5)
+    second = channel.CachedDataset(samples=cache_with_loss_values([4.0] * 5).samples,
+                                   sbs_id=3, round_index=1)
+    with caplog.at_level(logging.WARNING):
+        out = llpf.filter_caches(spec, params, [first, second], LlpfConfig(theta=0.3),
+                                 [derive_rng(8, "a"), derive_rng(8, "b")])
+    assert out[1] is second
+    assert out[0] is not first and out[0].l_n == first.l_n
+    warnings = [r.message for r in caplog.records if "no trusted samples" in r.message]
+    assert len(warnings) == 1 and "sbs=3" in warnings[0]

@@ -443,13 +443,6 @@ def test_chunk_size_of_the_default_and_desk_specs():
 
 # --------------------------- helper processes -----------------------------
 
-@pytest.fixture
-def helpers(monkeypatch):
-    """Set the number of engine helper processes; stop them all afterwards."""
-    yield lambda count: monkeypatch.setattr(nn, "_helper_count", lambda: count)
-    nn._stop_helpers()
-
-
 def _default_batch(batch, seed=63):
     spec = nn.default_network_spec()
     rng = np.random.default_rng(seed)
@@ -478,23 +471,32 @@ def _job_bytes(results):
     return [(grad.tobytes(), loss) for grad, loss in results]
 
 
+def _share_parts(spec, units, forward_samples):
+    """The parts of a call of `units` units and the work of
+    `forward_samples` forward samples, given enough helpers: one for each
+    _SHARE_MACS forward multiply-adds begun, and at most one a unit."""
+    return min(units, -(-forward_samples * nn._sample_macs(spec) // nn._SHARE_MACS))
+
+
 def _shared_call(name):
     """An engine call that is shared out, giving its bytes, and the number
     of parts it is cut into with enough helpers: a desk-spec one, or the
     default-spec `_gradient_jobs`."""
     if name == "jobs":
+        # nine samples in five chunks, each sample counted at three forwards
         spec, jobs = _gradient_jobs()
-        return lambda: _job_bytes(nn.batch_gradients(spec, jobs)), 5
+        return lambda: _job_bytes(nn.batch_gradients(spec, jobs)), _share_parts(spec, 5, 27)
     spec, rng = desk_spec(), np.random.default_rng(65)
     xs = rng.normal(size=(24,) + spec.input_shape)
     if name == "desk gradient":
-        # two chunks of 13 and 11 samples, each counted at three forwards
+        # two chunks of 13 and 11 samples
         ys = rng.normal(size=(24,) + spec.input_shape[:2] + (2,))
         p = nn.init_params(spec, 65)
-        return lambda: nn.batch_gradient(spec, p, xs, ys)[0].tobytes(), 2
-    # 10 draws of 24 samples: one part for each 2^24 multiply-adds begun
+        return (lambda: nn.batch_gradient(spec, p, xs, ys)[0].tobytes(),
+                _share_parts(spec, 2, 3 * 24))
+    # 10 draws of 24 samples: 9 parts
     draws = np.stack([nn.init_params(spec, seed) for seed in range(10)])
-    return lambda: nn.forward_sum(spec, draws, xs).tobytes(), 5
+    return lambda: nn.forward_sum(spec, draws, xs).tobytes(), _share_parts(spec, 10, 240)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 5, 64, "desk gradient", "ensemble", "jobs"])
@@ -504,8 +506,8 @@ def test_engine_bytes_do_not_depend_on_the_helper_count(helpers, batch):
     else:
         spec, p, xs, ys = _default_batch(batch)
         call = lambda: _engine_bytes(spec, p, xs, ys)  # noqa: E731
-        # one part for each 2^24 forward multiply-adds begun: 1, 1, 2 and 25
-        parts = -(-batch * nn._sample_macs(spec) // nn._CHUNK_MACS)
+        # the forward's parts: 1, 2, 4 and 50
+        parts = _share_parts(spec, batch, batch)
     results = []
     for count in (0, 1, 2):
         helpers(count)
@@ -537,6 +539,24 @@ def test_forward_sum_adds_each_draws_own_forward_in_draw_order(helpers, count):
     helpers(count)
     assert nn.forward_sum(spec, draws, xs).tobytes() == want.tobytes()
     assert len(nn._pool) >= count
+
+
+@pytest.mark.parametrize("spec, batch, started", [
+    pytest.param(desk_spec(), 40, 1, id="desk-40"),
+    pytest.param(desk_spec(), 29, 1, id="desk-29"),
+    pytest.param(desk_spec(), 28, 0, id="desk-28"),
+    pytest.param(desk_spec(), 8, 0, id="desk-8"),
+    pytest.param(nn.NetworkSpec(layers=(nn.LayerSpec(3, 3, 2, "selu"),), input_shape=(4, 3, 2)),
+                 1000, 0, id="tiny-1000"),
+])
+def test_a_forward_is_shared_from_its_measured_break_even(helpers, spec, batch, started):
+    # a desk-spec forward of up to 28 samples is under 2^23 multiply-adds,
+    # about a millisecond of work, and stays here
+    nn._stop_helpers()
+    helpers(1)
+    xs = np.random.default_rng(66).normal(size=(batch,) + spec.input_shape)
+    nn.forward_batch(spec, nn.init_params(spec, 66), xs)
+    assert len(nn._pool) == started
 
 
 def test_one_cpu_starts_no_helper(monkeypatch):

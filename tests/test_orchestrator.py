@@ -333,20 +333,23 @@ def test_llpf_sees_poisoned_caches_and_training_uses_filtered(monkeypatch):
         llpf=LlpfConfig(enabled=True),
     )
     seen_poisoned = []
-    real_filter = orchestrator.llpf.filter_cache
+    real_filter = orchestrator.llpf.filter_caches
 
-    def spy_filter(spec, global_params, cache, fcfg, rng):
-        seen_poisoned.append(sum(1 for s in cache.samples if s.provenance != "authentic"))
-        out = real_filter(spec, global_params, cache, fcfg, rng)
-        # force a visible replacement so the trained caches are checkable
-        trusted = [s for s in out.samples if s.provenance == "authentic"]
-        cleaned = [trusted[0] if s.provenance != "authentic" else s for s in out.samples]
-        return channel.CachedDataset(
-            samples=cleaned, sbs_id=out.sbs_id, round_index=out.round_index,
-            aggregation_len=out.aggregation_len,
-        )
+    def spy_filter(spec, global_params, caches, fcfg, rngs):
+        seen_poisoned.extend(sum(1 for s in cache.samples if s.provenance != "authentic")
+                             for cache in caches)
+        filtered = []
+        for out in real_filter(spec, global_params, caches, fcfg, rngs):
+            # force a visible replacement so the trained caches are checkable
+            trusted = [s for s in out.samples if s.provenance == "authentic"]
+            cleaned = [trusted[0] if s.provenance != "authentic" else s for s in out.samples]
+            filtered.append(channel.CachedDataset(
+                samples=cleaned, sbs_id=out.sbs_id, round_index=out.round_index,
+                aggregation_len=out.aggregation_len,
+            ))
+        return filtered
 
-    monkeypatch.setattr(orchestrator.llpf, "filter_cache", spy_filter)
+    monkeypatch.setattr(orchestrator.llpf, "filter_caches", spy_filter)
     trained = spy_local_train(monkeypatch)
     _, record = run_round(start_state(cfg), cfg)
     # the filter ran downstream of poisoning: it saw poisoned samples
