@@ -15,17 +15,21 @@ import ctypes
 import itertools
 import logging
 import math
+import mmap
 import multiprocessing
 import os
 import pickle
 import platform
+import select
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,7 +40,7 @@ SOFTPLUS_CUTOFF = 30.0  # softplus(x) ~ x above this; avoids exp overflow
 _BLOCK_MACS = 1 << 19  # multiply-adds per matrix product in the conv plumbing
 _CHUNK_BYTES = 3 << 18  # widest-layer activation bytes per forward/gradient pass
 _CHUNK_MACS = 1 << 24  # forward multiply-adds per gradient chunk
-_SHARE_MACS = 1 << 23  # forward multiply-adds per part of a shared call
+_SHARE_MACS = 5 << 20  # forward multiply-adds per part of a shared call
 _NARROW = 16  # a layer with more channels on a side stores its buffers cells major
 _ALIGN = 64  # a channels-first product spans a multiple of this many cells
 ACTIVATIONS = ("selu", "softplus")
@@ -637,8 +641,25 @@ _TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk,
 # part is computed, so the bytes are the same whatever the number of
 # helpers.  A smaller call, under about 1 ms of work, stays here: that is
 # where sharing with a helper that idled 3 ms before the call broke even (a
-# desk-spec forward of 16 samples took 1.00 ms here and 1.14 ms shared, one
-# of 24 samples 1.42 ms here and 1.39 ms shared).
+# desk-spec forward of 17 samples took 1.06 ms here and 1.07 ms shared, one
+# of 18 samples 1.08 ms here and 1.07 ms shared).
+#
+# A helper trades arrays with this process through its arena, a file that
+# both map: a memfd where the platform has one, else an unlinked temporary
+# file.  A request copies the params and per-sample arrays of a part into
+# the arena, and the pipe carries only its header: the task, the spec, the
+# place and shape of each array, and the pass size.  The helper computes
+# on views of the arena, copies each result into it as soon as it is
+# computed, and sends one reply a part: the number of results, then where
+# each lies.  This process hands each result on as soon as its place is
+# read, and every taker copies or adds it at once, so no view of the arena
+# outlives the call.  A call whose helper parts would not fit their arenas
+# runs in waves of whole units, in unit order, each cut into parts as a
+# call is, so that the arena pages mapped here stay bounded while every
+# process computes; an arena grows only to hold one unit that does not fit
+# it.  Either side waits for the other by polling its pipe for
+# _POLL_SECONDS, longer than the gaps between the engine calls of a round,
+# before it sleeps in a blocking read.
 #
 # The helpers start at the first call that can use them: one per CPU this
 # process may run on beyond the first, at most _MAX_HELPERS, and none in a
@@ -652,6 +673,9 @@ _TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk,
 # call.
 
 _MAX_HELPERS = 3
+_ARENA_BYTES = 2 << 20  # a helper's arena: its part's inputs and results
+_POLL_SECONDS = 0.003  # how long a process polls its pipe before it sleeps
+_LINE = 64  # each array in an arena starts on a cache line
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _pool: list["_Helper"] = []
 _pool_lock = threading.Lock()  # held by the one call that uses the helpers
@@ -689,9 +713,11 @@ def _pass_results(task: str, spec: NetworkSpec, jobs: list, take) -> None:
     job is (params, per-sample arrays, extra arguments).  Its units are the
     samples of its arrays, for a gradient whole chunks of them, or for an
     ensemble the rows of its params.  A call of more than _SHARE_MACS
-    forward multiply-adds is cut into contiguous parts of whole units: the
-    first is computed here, the others by helpers, unless another thread is
-    using them."""
+    forward multiply-adds is cut into contiguous parts of whole units, in
+    waves where the helpers' parts would not fit their arenas: the first
+    part of each wave is computed here, the others by helpers, unless
+    another thread is using them.  `take` must copy or add each result
+    before it returns."""
     ensemble = task == "ensemble"
     # the chunks fix a gradient's summation order, so its parts and passes
     # are whole chunks; a sample's output does not depend on its pass
@@ -709,14 +735,24 @@ def _pass_results(task: str, spec: NetworkSpec, jobs: list, take) -> None:
         macs = sum(sizes) * per_unit * _sample_macs(spec)
         # one part for each _SHARE_MACS forward multiply-adds begun
         helpers = _helpers(min(sum(units), -(-macs // _SHARE_MACS)) - 1)
-        work = [(task, spec, part, step)
-                for part in _parts(jobs, units, align, len(helpers) + 1, ensemble)]
-        for helper, part in zip(helpers, work[1:]):
-            helper.ask(part)
-        for result in _answer(*work[0]):
-            take(result)
-        for helper, part in zip(helpers, work[1:]):
-            helper.answer(part, take)
+        start, total = 0, sum(units)
+        fits, arena = _arena_plan(task, spec, jobs, align, step) if helpers else (total, 0)
+        while start < total:
+            count = len(helpers) + 1
+            end = min(total, start + count * fits)
+            cuts = [start + (end - start) * j // count for j in range(count + 1)]
+            work = [(task, spec, part, step)
+                    for part in _parts(jobs, units, align, cuts, ensemble)]
+            for helper, part in zip(helpers, work[1:]):
+                helper.ask(part, arena)
+            for result in _answer(*work[0]):
+                take(result)
+            for helper, part in zip(helpers, work[1:]):
+                helper.answer(part, take)
+            # a helper that failed has left the pool; the others share the
+            # later waves
+            helpers = [helper for helper in helpers if helper in _pool]
+            start = end
     finally:
         # a call that raised leaves a reply unread, which the next call
         # would take for its own
@@ -726,12 +762,36 @@ def _pass_results(task: str, spec: NetworkSpec, jobs: list, take) -> None:
         _pool_lock.release()
 
 
-def _parts(jobs: list, units: list, align: int, count: int, ensemble: bool) -> list[list]:
-    """`jobs`, of `units` units of `align` samples (or rows) each, cut into
-    `count` contiguous parts of about as many units: each part the list of
-    the slices of the jobs in it."""
+def _arena_plan(task: str, spec: NetworkSpec, jobs: list, align: int,
+                step: int) -> tuple[int, int]:
+    """The most units of `jobs` a helper's part may hold so that its inputs
+    and results fit in _ARENA_BYTES, at least one; and the arena bytes such
+    a part may take, more than _ARENA_BYTES only where one unit does not
+    fit.  Each array may take up to _LINE bytes more than its own."""
+    output = math.prod(spec.input_shape[:2]) * spec.layers[-1].filters * 8
+    if task == "gradient":
+        # a chunk, its job's params and its gradient
+        fixed, unit = 0, max(align * sum(a[:1].nbytes for a in arrays) + 2 * params.nbytes
+                             + (len(arrays) + 2) * _LINE for params, arrays, _ in jobs)
+    else:
+        [(params, arrays, _)] = jobs
+        n, sample = len(arrays[0]), sum(a[:1].nbytes for a in arrays)
+        fixed = (len(arrays) + 1) * _LINE
+        if task == "forward":
+            # the params; a sample, its output and a pass's result
+            fixed, unit = fixed + params.nbytes, sample + output + _LINE
+        else:
+            # the samples and each pass's result; a draw's params and outputs
+            fixed += n * sample + -(-n // step) * _LINE
+            unit = params[0].nbytes + n * output
+    return max(1, (_ARENA_BYTES - fixed) // unit), max(_ARENA_BYTES, fixed + unit)
+
+
+def _parts(jobs: list, units: list, align: int, cuts: list, ensemble: bool) -> list[list]:
+    """The parts of `jobs`, of `units` units of `align` samples (or rows)
+    each, between successive `cuts`, which count units from the first job's
+    first: each part the list of the slices of the jobs in it."""
     bounds = list(itertools.accumulate(units, initial=0))
-    cuts = [bounds[-1] * j // count for j in range(count + 1)]
     parts = []
     for lo, hi in zip(cuts, cuts[1:]):
         part = []
@@ -759,65 +819,100 @@ def _answer(task: str, spec: NetworkSpec, jobs: list, step: int, skip: int = 0):
             yield _TASKS[task](spec, weights, *(a[start:start + step] for a in arrays), *extra)
 
 
-def _result(value):
-    """A result in a helper's reply, as unpickled anywhere but in `_Reply`."""
+class _Block(NamedTuple):
+    """Where an array lies in an arena."""
+
+    offset: int
+    shape: tuple
+    dtype: str
+
+
+def _view(arena: mmap.mmap, block: _Block) -> np.ndarray:
+    return np.frombuffer(arena, np.dtype(block.dtype), math.prod(block.shape),
+                         block.offset).reshape(block.shape)
+
+
+def _store(arena: mmap.mmap, offset: int, value):
+    """`value`, with each array in it copied into the arena from `offset`
+    on and replaced by its `_Block`; and the offset after the last."""
+    if isinstance(value, np.ndarray):
+        block = _Block(offset, value.shape, value.dtype.str)
+        _view(arena, block)[...] = value
+        return block, offset + -(-value.nbytes // _LINE) * _LINE
+    if isinstance(value, (list, tuple)):
+        stored = []
+        for item in value:
+            item, offset = _store(arena, offset, item)
+            stored.append(item)
+        return type(value)(stored), offset
+    return value, offset
+
+
+def _load(arena: mmap.mmap, value):
+    """`value`, with each `_Block` in it replaced by its view of the arena."""
+    if isinstance(value, _Block):
+        return _view(arena, value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_load(arena, item) for item in value)
     return value
 
 
-class _Result:
-    """Pickles a result of a helper's reply as a call of `_result`."""
-
-    def __init__(self, value) -> None:
-        self.value = value
-
-    def __reduce__(self):
-        return _result, (self.value,)
-
-
-class _Reply(pickle.Unpickler):
-    """Reads a helper's reply and hands each result to `take` as soon as it
-    is read, so that the reply is never held whole."""
-
-    def __init__(self, stream, take) -> None:
-        super().__init__(stream)
-        self.take = take
-
-    def find_class(self, module: str, name: str):
-        if (module, name) == (__name__, _result.__name__):
-            return self.take
-        return super().find_class(module, name)
+def _arena_file() -> int:
+    """The descriptor of a new anonymous file: a memfd where the platform
+    has one, else an unlinked temporary file."""
+    if hasattr(os, "memfd_create"):
+        return os.memfd_create("fedcsi-arena", os.MFD_CLOEXEC)
+    with tempfile.TemporaryFile() as file:
+        return os.dup(file.fileno())
 
 
 class _Helper:
-    """A child interpreter that answers `_answer` requests over a pipe."""
+    """A child interpreter that answers `_answer` requests on the arrays of
+    its arena."""
+
+    serve = "nn._serve()"  # what the child runs once it has imported nn
 
     def __init__(self) -> None:
         root = str(Path(__file__).resolve().parents[1])
-        code = f"import sys; sys.path.insert(0, {root!r}); from fedcsi import nn; nn._serve()"
+        code = f"import sys; sys.path.insert(0, {root!r}); from fedcsi import nn; {self.serve}"
         env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1")}
-        self.process = subprocess.Popen([sys.executable, "-c", code], env=env,
-                                        stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        fd = _arena_file()
+        try:
+            os.ftruncate(fd, _ARENA_BYTES)
+            self.process = subprocess.Popen([sys.executable, "-c", code, str(fd)], env=env,
+                                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                            pass_fds=(fd,))
+        except BaseException:
+            os.close(fd)
+            raise
+        self.fd, self.arena = fd, mmap.mmap(fd, _ARENA_BYTES)
         self.pending = False  # a reply not read yet
 
-    def ask(self, part: tuple) -> None:
+    def ask(self, part: tuple, size: int) -> None:
+        """Copy the arrays of `part` into the arena, grown to `size` bytes
+        if it is smaller, and send the helper the request."""
+        task, spec, jobs, step = part
         self.pending = True
+        if len(self.arena) < size:
+            self.arena.close()
+            os.ftruncate(self.fd, size)
+            self.arena = mmap.mmap(self.fd, size)
+        jobs, end = _store(self.arena, 0, jobs)
         try:
-            _send(self.process.stdin, part)
+            _send(self.process.stdin, (task, spec, jobs, step, len(self.arena), end))
         except OSError:
             pass  # a helper that has gone fails to answer, below
 
     def answer(self, part: tuple, take) -> None:
-        """Hand `take` each result of `part`: from the helper's one reply,
-        or, from the first one it fails to give, computed here."""
+        """Hand `take` each result of `part`: from the arena, at the places
+        of the helper's one reply, or, from the first one it fails to give,
+        computed here."""
         taken = 0
-
-        def count(result):
-            nonlocal taken
-            take(result)
-            taken += 1
-
         try:
-            _Reply(self.process.stdout, count).load()
+            _wait(self.process.stdout)
+            for _ in range(pickle.load(self.process.stdout)):
+                take(_load(self.arena, pickle.load(self.process.stdout)))
+                taken += 1
             self.pending = False
             return
         except (OSError, EOFError, pickle.UnpicklingError):
@@ -826,16 +921,24 @@ class _Helper:
         for result in _answer(*part, skip=taken):
             take(result)
 
-    def close_pipes(self) -> None:
+    def release(self) -> None:
+        """Close this process's ends of the pipes, and its arena."""
         for pipe in (self.process.stdin, self.process.stdout):
             try:
                 pipe.close()
             except OSError:  # data left unsent to a helper that has gone
                 pass
+        try:
+            self.arena.close()
+        except BufferError:  # a view still held unmaps it when it goes
+            pass
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
 
     def close(self) -> None:
         """Stop and reap the helper, and drop it from the pool."""
-        self.close_pipes()
+        self.release()
         self.process.kill()
         self.process.wait()
         self.pending = False
@@ -853,7 +956,7 @@ def _forget_helpers() -> None:
     global _pool_lock
     _pool_lock = threading.Lock()
     for helper in _pool:
-        helper.close_pipes()
+        helper.release()
     _pool.clear()
 
 
@@ -862,28 +965,42 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
 
 
-def _send(stream, obj) -> None:
-    # protocol 5 pickles a contiguous array's buffer in band but writes one
-    # of 64 KiB or more straight to the stream, and reading it back fills
-    # the new array's buffer straight from the stream: no copy either way
-    pickler = pickle.Pickler(stream, protocol=5)
-    # no memo: its reader would keep every array of a reply to the end
-    pickler.fast = True
-    pickler.dump(obj)
+def _send(stream, *messages) -> None:
+    """Write the messages to `stream`, pickled one after another, at once."""
+    stream.write(b"".join(pickle.dumps(message, protocol=5) for message in messages))
     stream.flush()
 
 
+def _wait(stream) -> None:
+    """Poll `stream` until it can be read, for up to _POLL_SECONDS: what
+    comes within that is read without a sleep and a wake-up, and the read
+    that follows blocks if nothing came."""
+    deadline = time.perf_counter() + _POLL_SECONDS
+    while not select.select((stream,), (), (), 0)[0] and time.perf_counter() < deadline:
+        pass
+
+
 def _serve() -> None:
-    """A helper's loop: answer each request on stdin with the list of its
-    results on stdout, until stdin closes."""
+    """A helper's loop: answer each request on stdin, on the arena whose
+    descriptor is the first argument, with one reply on stdout, until
+    stdin closes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
+    fd, arena = int(sys.argv[1]), None
     try:
         while True:
+            _wait(sys.stdin.buffer)
+            task, spec, jobs, step, size, end = pickle.load(sys.stdin.buffer)
+            if arena is None or len(arena) != size:
+                arena = mmap.mmap(fd, size)
+            results = []
+            for result in _answer(task, spec, _load(arena, jobs), step):
+                result, end = _store(arena, end, result)
+                results.append(result)
             # one reply for the whole request, so that the parent reads
             # exactly one whatever passes the part was cut into
-            _send(replies, [_Result(r) for r in _answer(*pickle.load(sys.stdin.buffer))])
+            _send(replies, len(results), *results)
     except (EOFError, pickle.UnpicklingError, BrokenPipeError):
         os._exit(0)  # the parent has gone; there is nothing to flush
 

@@ -193,8 +193,8 @@ def test_filter_preserves_length_and_draws_from_trusted():
 def _poisoned_caches():
     """Four desk-grid caches of 14-17 samples, a quarter of each reversed,
     and a model that flags some of them: 62 samples in all, a desk-spec
-    forward of more than two 2^23 multiply-adds, so two helpers take a part
-    each, and the parts and passes do not end where the caches do."""
+    forward of more than three 5 * 2^20 multiply-adds, so two helpers take a
+    part each, and the parts and passes do not end where the caches do."""
     cfg = channel.ChannelConfig(grid_height=36, grid_width=10, max_delay_taps=1,
                                 doppler_spread=0.02, pilot_noise_stddev=0.15,
                                 gain_scale=3.0)
