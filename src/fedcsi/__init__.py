@@ -27,7 +27,7 @@ from .channel import (
     ChannelSample,
     generate_round_caches,
     lagged_label,
-    make_sample,
+    make_samples,
     topup_with_pretrain,
 )
 from .llpf import LlpfConfig, classify_losses, filter_caches, per_sample_losses, trunc_gauss_cdf

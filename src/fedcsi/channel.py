@@ -5,6 +5,11 @@ built from a handful of paths with random gains, integer delay taps and
 Doppler shifts.  The model input is the noisy pilot observation of that
 grid bilinearly interpolated to full size; the label is the true grid.
 Complex grids are carried as two real channels (real, imaginary).
+
+`make_samples` synthesizes many samples at once: each draws its fading
+parameters and then its pilot noise from the stream in turn, as one
+sample at a time would, while the grid and interpolation math runs on
+stacked arrays, a block of samples bounded in bytes at a time.
 """
 from __future__ import annotations
 
@@ -50,9 +55,9 @@ class ChannelConfig:
 class FadingParams:
     """Per-sample multipath parameters, kept so stale CSI can be re-synthesized."""
 
-    gains: np.ndarray    # complex, (P,)
-    delays: np.ndarray   # int, (P,)
-    dopplers: np.ndarray  # float, (P,)
+    gains: np.ndarray    # complex, (P,), or (..., P) for stacked samples
+    delays: np.ndarray   # int, same shape
+    dopplers: np.ndarray  # float, same shape
 
 
 @dataclass(frozen=True)
@@ -103,11 +108,17 @@ def draw_fading(cfg: ChannelConfig, rng: np.random.Generator) -> FadingParams:
 def channel_grid(
     fading: FadingParams, height: int, width: int, time_offset: float = 0.0
 ) -> np.ndarray:
-    """H[f, t] = sum_p a_p exp(-j2pi f tau_p / H) exp(j2pi nu_p (t + offset))."""
+    """H[f, t] = sum_p a_p exp(-j2pi f tau_p / H) exp(j2pi nu_p (t + offset)):
+    one (height, width) grid for each sample of the (..., P) parameters."""
+    delays = fading.delays
+    table = _delay_steering(height, int(delays.max()))
+    # each sample's (height, P) factor C-contiguous, as one sample alone gets it
+    steer_f = np.multiply(np.moveaxis(table[:, delays], 0, -2), fading.gains[..., None, :],
+                          out=np.empty(delays.shape[:-1] + (height, delays.shape[-1]),
+                                       dtype=np.complex128))
     t = np.arange(width)[:, None] + time_offset
-    steer_f = _delay_steering(height, int(fading.delays.max())).take(fading.delays, axis=1)
-    steer_t = np.exp(2j * np.pi * t * fading.dopplers[None, :])
-    return (steer_f * fading.gains) @ steer_t.T
+    steer_t = np.exp(2j * np.pi * t * fading.dopplers[..., None, :])
+    return steer_f @ np.swapaxes(steer_t, -1, -2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -150,31 +161,57 @@ def _pilot_layout(
     return layout
 
 
-def make_sample(
+# Bytes of one complex (height, max(P, width)) array per sample of a
+# `make_samples` block: a sample's largest temporaries have that shape, so
+# the block's working set stays a small multiple of this beside its outputs.
+_SYNTH_BYTES = 1 << 20
+
+
+def _block_size(cfg: ChannelConfig) -> int:
+    """Samples per `make_samples` block."""
+    return max(1, _SYNTH_BYTES // (16 * cfg.grid_height * max(cfg.path_count, cfg.grid_width)))
+
+
+def make_samples(
     cfg: ChannelConfig,
     rng: np.random.Generator,
-    uid: int = 0,
-) -> ChannelSample:
-    """One (pilot-grid input, CSI label) pair; authentic at generation time."""
+    count: int,
+    uid_start: int = 0,
+) -> list[ChannelSample]:
+    """`count` (pilot-grid input, CSI label) pairs with sequential uids from
+    `uid_start`; authentic at generation time.
+
+    Sample by sample, `rng` draws the fading parameters and then the pilot
+    noise, so the stream and each sample's bytes do not depend on `count`
+    or on the blocks the math runs in.
+    """
     cfg.validate()
-    fading = draw_fading(cfg, rng)
-    grid = channel_grid(fading, cfg.grid_height, cfg.grid_width)
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    height, width = cfg.grid_height, cfg.grid_width
     pilot_rows, pilot_cols, row_op, col_op = _pilot_layout(
-        cfg.grid_height, cfg.grid_width, cfg.pilot_rows_stride, cfg.pilot_cols_stride)
-    # complex pilot noise CN(0, sigma^2): each real component N(0, sigma^2/2)
-    noise = rng.normal(
-        scale=cfg.pilot_noise_stddev / np.sqrt(2.0),
-        size=(len(pilot_rows), len(pilot_cols), 2),
-    )
-    observed = grid[np.ix_(pilot_rows, pilot_cols)] + noise[..., 0] + 1j * noise[..., 1]
-    estimate = row_op @ observed @ col_op.T
-    return ChannelSample(
-        input=split_complex(estimate),
-        label=split_complex(grid),
-        provenance="authentic",
-        uid=uid,
-        fading=fading,
-    )
+        height, width, cfg.pilot_rows_stride, cfg.pilot_cols_stride)
+    block = _block_size(cfg)
+    samples = []
+    for start in range(0, count, block):
+        fadings = []
+        noise = np.empty((min(block, count - start), len(pilot_rows), len(pilot_cols), 2))
+        for i in range(len(noise)):
+            fadings.append(draw_fading(cfg, rng))
+            # complex pilot noise CN(0, sigma^2): each real component N(0, sigma^2/2)
+            noise[i] = rng.normal(scale=cfg.pilot_noise_stddev / np.sqrt(2.0),
+                                  size=noise.shape[1:])
+        stacked = FadingParams(*(np.stack([getattr(f, name) for f in fadings])
+                                 for name in ("gains", "delays", "dopplers")))
+        grids = channel_grid(stacked, height, width)
+        observed = grids[:, pilot_rows[:, None], pilot_cols] + noise[..., 0] + 1j * noise[..., 1]
+        inputs = split_complex(row_op @ observed @ col_op.T)
+        labels = split_complex(grids)
+        samples.extend(
+            ChannelSample(input=inputs[i], label=labels[i], uid=uid_start + start + i,
+                          fading=fading)
+            for i, fading in enumerate(fadings))
+    return samples
 
 
 def lagged_label(sample: ChannelSample, lag: float) -> np.ndarray:
@@ -192,16 +229,12 @@ def generate_round_caches(
     round_index: int = 0,
     uid_start: int = 0,
 ) -> list[CachedDataset]:
-    """Fresh disjoint caches of the requested lengths with sequential uids."""
-    caches = []
-    uid = uid_start
-    for sbs_id, length in enumerate(lengths):
-        samples = []
-        for _ in range(int(length)):
-            samples.append(make_sample(cfg, rng, uid=uid))
-            uid += 1
-        caches.append(CachedDataset(samples=samples, sbs_id=sbs_id, round_index=round_index))
-    return caches
+    """Fresh disjoint caches of the requested lengths with sequential uids,
+    from one `make_samples` call in cache order."""
+    samples = iter(make_samples(cfg, rng, int(sum(lengths)), uid_start))
+    return [CachedDataset(samples=[next(samples) for _ in range(int(length))],
+                          sbs_id=sbs_id, round_index=round_index)
+            for sbs_id, length in enumerate(lengths)]
 
 
 def topup_with_pretrain(

@@ -39,16 +39,23 @@ def per_sample_losses(
     spec: nn.NetworkSpec, global_params: np.ndarray, samples: Sequence[ChannelSample]
 ) -> np.ndarray:
     """Mean squared error of each sample, in order, from one `forward_batch`
-    call over all of them."""
-    inputs = np.stack([s.input for s in samples])
-    labels = np.stack([s.label for s in samples])
+    call over the distinct sample objects, in order of first appearance.
+
+    A round repeats objects: LLPF copies trusted samples over the ones it
+    replaces, and top-ups draw from the one pre-training set.  Distinct
+    means by identity, not uid: a poisoned sample keeps its victim's uid.
+    """
+    distinct = list({id(s): s for s in samples}.values())
+    position = {id(s): i for i, s in enumerate(distinct)}
+    inputs = np.stack([s.input for s in distinct])
+    labels = np.stack([s.label for s in distinct])
     diff = nn.forward_batch(spec, global_params, inputs)
     if diff.shape != labels.shape:
         raise ValueError(f"label shape {labels.shape} != prediction {diff.shape}")
     # in place: evaluation scores every sample of a round in one call
     diff -= labels
     diff *= diff
-    return np.mean(diff, axis=(1, 2, 3))
+    return np.mean(diff, axis=(1, 2, 3))[[position[id(s)] for s in samples]]
 
 
 def trunc_gauss_cdf(x: float, mu: float, k_sigma: float) -> float:

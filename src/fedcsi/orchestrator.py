@@ -161,16 +161,11 @@ def pretrain(config: ExperimentConfig) -> tuple[np.ndarray, list, list]:
     """
     config.validate()
     seed = config.master_seed
-    data_rng = derive_rng(seed, "pretrain-data")
-    pretrain_set = [
-        channel.make_sample(config.channel, data_rng, uid=i)
-        for i in range(config.pretrain_size)
-    ]
-    val_rng = derive_rng(seed, "validation-data")
-    validation_set = [
-        channel.make_sample(config.channel, val_rng, uid=config.pretrain_size + i)
-        for i in range(config.validation_size)
-    ]
+    pretrain_set = channel.make_samples(
+        config.channel, derive_rng(seed, "pretrain-data"), config.pretrain_size)
+    validation_set = channel.make_samples(
+        config.channel, derive_rng(seed, "validation-data"), config.validation_size,
+        uid_start=config.pretrain_size)
     init_seed = int(derive_rng(seed, "init").integers(2 ** 31))
     params = nn.init_params(config.network, init_seed)
     epochs = config.epochs if config.pretrain_epochs is None else config.pretrain_epochs

@@ -264,7 +264,7 @@ def test_fed_be_identical_updates_returns_near_mu():
         pilot_rows_stride=1, pilot_cols_stride=1,
     )
     rng = derive_rng(1, "fedbe-distill")
-    distill = [channel.make_sample(cfg, rng) for _ in range(6)]
+    distill = channel.make_samples(cfg, rng, 6)
     out = agg.fed_be(
         ups, samples=4, rng=derive_rng(2, "fedbe-run"), distill_set=distill, spec=spec,
         distill_epochs=5, learning_rate=1e-5, batch_size=4,

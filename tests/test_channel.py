@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_grid_and_lagged_label_are_the_formula_bit_for_bit_for_every_delay(cfg):
     # the delay steering comes from a cached table of the integer delays
     rng = derive_rng(3, "textbook")
     h, w = cfg.grid_height, cfg.grid_width
-    sample = channel.make_sample(cfg, rng)
+    sample, = channel.make_samples(cfg, rng, 1)
     for taps in range(cfg.max_delay_taps + 1):
         delays = rng.integers(0, taps + 1, size=cfg.path_count)
         delays[0] = taps
@@ -99,18 +100,82 @@ def test_split_merge_roundtrip():
     assert np.array_equal(split[..., 1], grid.imag)
 
 
+def one_sample_oracle(cfg, rng, uid):
+    """A sample made alone, by the per-sample formula: its fading draws,
+    then its pilot noise, with the grid and interpolation on its own."""
+    fading = channel.draw_fading(cfg, rng)
+    grid = textbook_grid(fading, cfg.grid_height, cfg.grid_width)
+    rows = np.arange(0, cfg.grid_height, cfg.pilot_rows_stride)
+    cols = np.arange(0, cfg.grid_width, cfg.pilot_cols_stride)
+    noise = rng.normal(scale=cfg.pilot_noise_stddev / np.sqrt(2.0), size=(len(rows), len(cols), 2))
+    observed = grid[np.ix_(rows, cols)] + noise[..., 0] + 1j * noise[..., 1]
+    _, _, row_op, col_op = channel._pilot_layout(
+        cfg.grid_height, cfg.grid_width, cfg.pilot_rows_stride, cfg.pilot_cols_stride)
+    estimate = row_op @ observed @ col_op.T
+    split = lambda z: np.stack([z.real, z.imag], axis=-1)  # noqa: E731
+    return ChannelSample(input=split(estimate), label=split(grid), uid=uid, fading=fading)
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(ChannelConfig(), id="default-72x14"),
+    pytest.param(ChannelConfig(grid_height=36, grid_width=10, max_delay_taps=1), id="desk-36x10"),
+    pytest.param(small_cfg(path_count=1), id="one-path"),
+    pytest.param(small_cfg(max_delay_taps=0), id="no-delay"),
+    pytest.param(small_cfg(grid_height=13, grid_width=7, pilot_rows_stride=3,
+                           pilot_cols_stride=1), id="strides-3-1-on-13x7"),
+])
+def test_make_samples_is_the_one_sample_formula_bit_for_bit(cfg):
+    # blocks and stacking change nothing: every count gives each sample the
+    # bytes it gets alone, and leaves the stream where one at a time would
+    for count in (0, 1, 5, 2 * channel._block_size(cfg) + 3):
+        got_rng, want_rng = derive_rng(21, "oracle"), derive_rng(21, "oracle")
+        got = channel.make_samples(cfg, got_rng, count, uid_start=40)
+        want = [one_sample_oracle(cfg, want_rng, 40 + i) for i in range(count)]
+        assert len(got) == count
+        for g, w in zip(got, want):
+            assert g.input.tobytes() == w.input.tobytes()
+            assert g.label.tobytes() == w.label.tobytes()
+            assert (g.uid, g.provenance) == (w.uid, "authentic")
+            for name in ("gains", "delays", "dopplers"):
+                assert getattr(g.fading, name).tobytes() == getattr(w.fading, name).tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
+
+
+def test_make_samples_works_in_bounded_space():
+    # a paper-scale round at the default grid; the unblocked form held
+    # about 71 MB of temporaries here
+    cfg, count = ChannelConfig(), 2300
+    channel.make_samples(cfg, derive_rng(0, "warm-up"), 1)
+    tracemalloc.start()
+    try:
+        samples = channel.make_samples(cfg, derive_rng(22, "bound"), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(s.input.nbytes + s.label.nbytes + s.fading.gains.nbytes
+                  + s.fading.delays.nbytes + s.fading.dopplers.nbytes for s in samples)
+    assert len(samples) > channel._block_size(cfg)
+    assert peak - outputs <= 8 << 20
+
+
+def test_make_samples_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="count"):
+        channel.make_samples(small_cfg(), derive_rng(0), -1)
+
+
 def test_noiseless_dense_pilots_input_equals_label():
     cfg = small_cfg(pilot_noise_stddev=0.0, pilot_rows_stride=1, pilot_cols_stride=1)
-    s = channel.make_sample(cfg, derive_rng(1, "dense"))
+    s, = channel.make_samples(cfg, derive_rng(1, "dense"), 1)
     assert np.allclose(s.input, s.label, atol=1e-12)
     assert s.provenance == "authentic"
 
 
 def test_pilot_layout_is_shared_read_only_and_keyed_by_shape():
     coarse, fine = small_cfg(), small_cfg(pilot_rows_stride=3, pilot_cols_stride=1)
-    first = channel.make_sample(coarse, derive_rng(2, "layout"))
-    channel.make_sample(fine, derive_rng(2, "layout"))
-    again = channel.make_sample(coarse, derive_rng(2, "layout"))
+    first, = channel.make_samples(coarse, derive_rng(2, "layout"), 1)
+    channel.make_samples(fine, derive_rng(2, "layout"), 1)
+    again, = channel.make_samples(coarse, derive_rng(2, "layout"), 1)
     assert np.array_equal(first.input, again.input)
     layout = channel._pilot_layout(12, 8, 2, 2)
     assert layout is channel._pilot_layout(12, 8, 2, 2)
@@ -124,10 +189,7 @@ def test_sample_mse_within_noise_budget():
         grid_height=48, pilot_noise_stddev=0.1, max_delay_taps=2, doppler_spread=0.01
     )
     rng = derive_rng(2, "mse-budget")
-    errs = []
-    for _ in range(200):
-        s = channel.make_sample(cfg, rng)
-        errs.append(np.mean((s.input - s.label) ** 2))
+    errs = [np.mean((s.input - s.label) ** 2) for s in channel.make_samples(cfg, rng, 200)]
     mean_err = float(np.mean(errs))
     assert 0.0 < mean_err <= 3 * 0.1 ** 2
 
@@ -136,15 +198,14 @@ def test_samples_have_finite_values_and_variety():
     cfg = small_cfg()
     rng = derive_rng(3, "variety")
     means = []
-    for _ in range(100):
-        s = channel.make_sample(cfg, rng)
+    for s in channel.make_samples(cfg, rng, 100):
         assert np.all(np.isfinite(s.input)) and np.all(np.isfinite(s.label))
         means.append(float(np.mean(s.label)))
     assert len(set(means)) > 1
 
 
 def test_samples_are_frozen():
-    s = channel.make_sample(small_cfg(), derive_rng(2, "frozen"))
+    s, = channel.make_samples(small_cfg(), derive_rng(2, "frozen"), 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.provenance = "reverse"
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -154,8 +215,7 @@ def test_samples_are_frozen():
 def test_lagged_label_zero_lag_identity():
     cfg = small_cfg()
     rng = derive_rng(4, "lag")
-    for _ in range(20):
-        s = channel.make_sample(cfg, rng)
+    for s in channel.make_samples(cfg, rng, 20):
         assert np.array_equal(channel.lagged_label(s, 0.0), s.label)
 
 
@@ -163,8 +223,7 @@ def test_lagged_label_correlation_decays():
     cfg = small_cfg(doppler_spread=0.05)
     rng = derive_rng(5, "lag-decay")
     small, large = [], []
-    for _ in range(50):
-        s = channel.make_sample(cfg, rng)
+    for s in channel.make_samples(cfg, rng, 50):
         small.append(np.mean((channel.lagged_label(s, 0.5) - s.label) ** 2))
         large.append(np.mean((channel.lagged_label(s, 40.0) - s.label) ** 2))
     assert np.mean(small) < np.mean(large)
@@ -207,7 +266,7 @@ def test_topup_noop_when_long_enough():
 def test_topup_fills_to_minimum():
     cfg = small_cfg()
     cache = channel.generate_round_caches(cfg, [3], derive_rng(10, "t3"))[0]
-    pretrain = [channel.make_sample(cfg, derive_rng(10, "t4"), uid=1000 + i) for i in range(10)]
+    pretrain = channel.make_samples(cfg, derive_rng(10, "t4"), 10, uid_start=1000)
     out = channel.topup_with_pretrain(cache, pretrain, 8, derive_rng(10, "t5"))
     assert out.l_n == 8
     assert out.aggregation_len == 3
@@ -219,7 +278,7 @@ def test_topup_fills_to_minimum():
 def test_topup_with_replacement_when_pretrain_small():
     cfg = small_cfg()
     cache = channel.CachedDataset(samples=[], sbs_id=0, round_index=0)
-    pretrain = [channel.make_sample(cfg, derive_rng(11, "t6"), uid=50)]
+    pretrain = channel.make_samples(cfg, derive_rng(11, "t6"), 1, uid_start=50)
     out = channel.topup_with_pretrain(cache, pretrain, 6, derive_rng(11, "t7"))
     assert out.l_n == 6
     assert all(s.uid == 50 for s in out.samples)

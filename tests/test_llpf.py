@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -8,7 +9,7 @@ from conftest import forward_one
 from test_nn import desk_spec
 
 from fedcsi import channel, llpf, nn
-from fedcsi.attacks import AttackPlan, poison_caches
+from fedcsi.attacks import AttackPlan, poison_caches, reverse_label
 from fedcsi.llpf import LlpfConfig
 from fedcsi.seeds import derive_rng
 
@@ -60,6 +61,32 @@ def test_per_sample_losses_match_loop_oracle():
         for p, y in zip(pred.ravel(), s.label.ravel()):
             manual += (p - y) ** 2
         assert losses[i] == pytest.approx(manual / pred.size, rel=1e-12)
+
+
+def test_each_distinct_sample_is_scored_once_and_losses_keep_input_order(monkeypatch):
+    cfg = channel.ChannelConfig(grid_height=6, grid_width=5, path_count=3, max_delay_taps=2,
+                                pilot_rows_stride=2, pilot_cols_stride=2)
+    a, b, c = channel.make_samples(cfg, derive_rng(1, "distinct"), 3)
+    # poisoned: b's uid and input, another label; a distinct sample all the same
+    poisoned_b = dataclasses.replace(b, label=reverse_label(b.label), provenance="reverse",
+                                     fading=None)
+    samples = [a, b, a, poisoned_b, c, b, a, poisoned_b]
+    spec = nn.NetworkSpec(layers=(nn.LayerSpec(3, 3, 2, "selu"),), input_shape=(6, 5, 2))
+    params = nn.init_params(spec, 4)
+    want = [llpf.per_sample_losses(spec, params, [s])[0] for s in samples]
+    calls = []
+    forward = nn.forward_batch
+
+    def counted(spec, params, xs):
+        calls.append(xs.copy())
+        return forward(spec, params, xs)
+
+    monkeypatch.setattr(nn, "forward_batch", counted)
+    got = llpf.per_sample_losses(spec, params, samples)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert got[1] != got[3]
+    assert len(calls) == 1
+    assert calls[0].tobytes() == np.stack([s.input for s in (a, b, poisoned_b, c)]).tobytes()
 
 
 def test_perfect_prediction_gives_zero_loss():

@@ -781,23 +781,28 @@ def test_helper_killed_between_waves_has_its_later_parts_computed_here(
     assert nn._pool == []
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+@pytest.mark.skipif(not Path("/proc/self/schedstat").exists(),
+                    reason="reads /proc/<pid>/schedstat")
 def test_an_idle_helper_stops_polling(helpers):
     helpers(1)
     spec, p, xs, _ = _default_batch(4)
     nn.forward_batch(spec, p, xs)
-    stat, tick = Path(f"/proc/{nn._pool[0].process.pid}/stat"), os.sysconf("SC_CLK_TCK")
+    schedstat = Path(f"/proc/{nn._pool[0].process.pid}/schedstat")
 
     def cpu_seconds():
-        # utime and stime, the 14th and 15th fields, after the command's ")"
-        fields = stat.read_text().rsplit(")", 1)[1].split()
-        return (int(fields[11]) + int(fields[12])) / tick
+        # the first field: the nanoseconds the task has run on a CPU
+        return int(schedstat.read_text().split()[0]) / 1e9
 
+    # the count of a running task lags by up to a scheduler tick, so read
+    # it once the helper has had two poll windows to go to sleep
+    time.sleep(2 * nn._POLL_SECONDS)
     before = cpu_seconds()
+    if before == 0:
+        pytest.skip("the kernel reports no run time in schedstat")
     time.sleep(20 * nn._POLL_SECONDS)
-    # a helper that kept polling would take about 20 windows; the clock
-    # counts whole ticks
-    assert cpu_seconds() - before < nn._POLL_SECONDS + 1.5 / tick
+    # a sleeping helper runs for none of this; one that kept polling would
+    # run for about 20 windows
+    assert cpu_seconds() - before < 2 * nn._POLL_SECONDS
 
 
 def test_threads_share_the_helpers_safely(helpers):
