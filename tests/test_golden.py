@@ -3,9 +3,10 @@
 Each case is a tiny run on the criterion-10 grid (3 stations, 2 rounds)
 with one setting changed.  Together they cover every aggregator with no
 attack, every attack mode under both deployments with FedAvg, LLPF at
-gain 3, `persist_caches`, `steps_sgd`, `exclude_fraction`, and a
-default-spec run whose calls are large enough for the engine to share with
-a helper process.
+gain 3, `persist_caches`, `steps_sgd`, `exclude_fraction`, a default-spec
+run whose calls are large enough for the engine to share with a helper
+process, and a FedBE run shaped like the benchmark's fedbe-desk workload,
+whose ensemble, distillation and local steps are shared as well.
 
 Where the environment matches the one that recorded the table (numpy
 version, BLAS, machine, the CPU's SIMD extensions, Python minor version)
@@ -19,6 +20,9 @@ A change that is meant to change bytes regenerates the table in the same
 commit and states the old and new hash prefixes in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+which prints each case whose hash changed as `old -> new` prefixes, and
+the count of the cases that kept theirs.
 """
 import hashlib
 import json
@@ -80,6 +84,20 @@ CASES = {
         "attack": {"mode": "reverse", "deployment": "widespread", "ratio": 0.25},
         "aggregator": {"kind": "stomedian"}, "llpf": {"enabled": True}, "master_seed": 3,
     },
+    # ten draws over 24 samples, and five stations' local steps of eight
+    "fedbe-desk": {
+        "n_sbs": 5, "rounds": 2, "cache_len_lo": 6, "cache_len_hi": 8, "i_min": 8,
+        "pretrain_size": 24, "validation_size": 8, "pretrain_epochs": 2, "epochs": 1,
+        "batch_size": 64, "learning_rate": 2e-3,
+        "network": {"layers": [[3, 3, 10, "selu"], [3, 3, 6, "softplus"], [3, 3, 2, "selu"]]},
+        "channel": {"grid_height": 36, "grid_width": 10, "path_count": 12,
+                    "max_delay_taps": 1, "doppler_spread": 0.02,
+                    "pilot_noise_stddev": 0.15, "gain_scale": 3.0},
+        "attack": {"mode": "collusion", "deployment": "targeted", "ratio": 0.2,
+                   "target_sbs": 0},
+        "aggregator": {"kind": "fedbe", "fedbe_samples": 10, "fedbe_distill_epochs": 7},
+        "llpf": {"enabled": True}, "master_seed": 5,
+    },
 }
 
 
@@ -138,5 +156,13 @@ def test_metrics_match_the_golden_table(table, name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
+    old = json.loads(TABLE.read_text())["runs"] if TABLE.exists() else {}
     runs = {name: run_case(config) for name, config in CASES.items()}
     TABLE.write_text(json.dumps({"fingerprint": fingerprint(), "runs": runs}, indent=1) + "\n")
+    hashes = {name: (old.get(name, {}).get("sha256"), run["sha256"])
+              for name, run in runs.items()}
+    hashes.update((name, (run["sha256"], None)) for name, run in old.items() if name not in runs)
+    for name, (before, after) in hashes.items():
+        if before != after:
+            print(f"{name}: {(before or 'new')[:12]} -> {(after or 'removed')[:12]}")
+    print(f"{sum(before == after for before, after in hashes.values())} cases unchanged")
