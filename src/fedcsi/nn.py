@@ -475,8 +475,26 @@ def forward_batch(spec: NetworkSpec, params: np.ndarray, xs: np.ndarray) -> np.n
     """Outputs of a batch, computed in passes of at most `_pass_size`
     samples; each sample's output is the same bit for bit however the batch
     is cut and wherever its part is computed."""
-    _check_input(spec, xs)
     layer_params(spec, params)
+    return _forward(spec, params[None], xs)
+
+
+def forward_sum(spec: NetworkSpec, draws: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The sum of the outputs of the batch xs under each row of `draws`,
+    started from zeros and added in row order.  Each row's outputs are the
+    same bit for bit as its own `forward_batch`."""
+    if len(draws) == 0:
+        raise ValueError("forward_sum needs at least one row of params")
+    for params in draws:
+        layer_params(spec, params)
+    total = _forward(spec, draws, xs)
+    total += 0.0  # a lone row's -0.0 sums to +0.0, as a sum from zeros does
+    return total
+
+
+def _forward(spec: NetworkSpec, models: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Each sample's `_forward_pass` result under the stack `models`."""
+    _check_input(spec, xs)
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty(xs.shape[:3] + (spec.layers[-1].filters,))
     start = 0
@@ -486,29 +504,8 @@ def forward_batch(spec: NetworkSpec, params: np.ndarray, xs: np.ndarray) -> np.n
         out[start:start + len(outputs)] = outputs
         start += len(outputs)
 
-    _pass_results("forward", spec, [(params, [xs], ())], place)
+    _pass_results("forward", spec, [(models, [xs], ())], place)
     return out
-
-
-def forward_sum(spec: NetworkSpec, draws: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The sum of the outputs of the batch xs under each row of `draws`,
-    added in row order.  Each row's outputs are the same bit for bit as its
-    own `forward_batch`, wherever its part of the rows is computed."""
-    _check_input(spec, xs)
-    for params in draws:
-        layer_params(spec, params)
-    xs = np.asarray(xs, dtype=np.float64)
-    total = np.zeros(xs.shape[:3] + (spec.layers[-1].filters,))
-    # each part of the rows runs every pass of xs in turn
-    starts = itertools.cycle(range(0, len(xs), _pass_size(spec)))
-
-    def add(outputs):
-        rows = total[next(starts):][:outputs.shape[1]]
-        for output in outputs:
-            rows += output
-
-    _pass_results("ensemble", spec, [(draws, [xs], ())], add)
-    return total
 
 
 def batch_gradients(spec: NetworkSpec, jobs: list) -> list[tuple[np.ndarray, float]]:
@@ -530,7 +527,7 @@ def batch_gradients(spec: NetworkSpec, jobs: list) -> list[tuple[np.ndarray, flo
             raise ValueError(f"targets shape {targets.shape} != output {output}")
         layer_params(spec, params)
         # batch-mean of per-sample mean MSE: every element carries 1/(A*H*W*C)
-        checked.append((params, [np.asarray(inputs, dtype=np.float64), targets],
+        checked.append((params[None], [np.asarray(inputs, dtype=np.float64), targets],
                         (2.0 / targets.size,)))
     grads = [np.zeros(params.size) for params, _, _ in checked]
     sses = [0.0] * len(checked)
@@ -557,33 +554,36 @@ def batch_gradient(
     return batch_gradients(spec, [(params, inputs, targets)])[0]
 
 
-def _forward_pass(spec: NetworkSpec, weights: list, xs: np.ndarray,
-                  operand: Optional[tuple] = None) -> np.ndarray:
-    """Outputs of the samples xs; `weights` are the `layer_params` views.
-    `operand` may hold the `_operand` of layer 0's input."""
-    act = xs.transpose(3, 0, 1, 2)
-    for layer, (kernel, bias), layout in zip(spec.layers, weights, _layouts(weights)):
-        z = _conv(act, kernel, layout, operand)[0] + bias[:, None, None, None]
-        act = _ACT[layer.activation][0](z)
-        operand = None
-    return act.transpose(1, 2, 3, 0)
-
-
-def _ensemble_pass(spec: NetworkSpec, draws: list, xs: np.ndarray) -> np.ndarray:
-    """The outputs of the samples xs under each of `draws`, a list of
-    `layer_params` views, stacked.  Layer 0's input operand does not depend
-    on the parameters, so it is padded and unfolded once for them all."""
-    kernel = draws[0][0][0]
-    operand = _operand(xs.transpose(3, 0, 1, 2), kernel.shape, _cells_major(kernel.shape))
-    return np.stack([_forward_pass(spec, weights, xs, operand) for weights in draws])
+def _forward_pass(spec: NetworkSpec, models: list, xs: np.ndarray) -> np.ndarray:
+    """Outputs of the samples xs under each of `models`, a list of
+    `layer_params` views: a lone model's as they are, else their sum,
+    started from zeros and added in model order.  Layer 0's input operand
+    does not depend on the parameters, so it is padded and unfolded once
+    for several models; a lone model's frees it after layer 0."""
+    x = xs.transpose(3, 0, 1, 2)
+    layouts = _layouts(models[0])
+    operand, total = None, None
+    if len(models) > 1:
+        operand = _operand(x, models[0][0][0].shape, layouts[0][0])
+        total = np.zeros(xs.shape[:3] + (spec.layers[-1].filters,))
+    for weights in models:
+        act, given = x, operand
+        for layer, (kernel, bias), layout in zip(spec.layers, weights, layouts):
+            z = _conv(act, kernel, layout, given)[0] + bias[:, None, None, None]
+            act, given = _ACT[layer.activation][0](z), None
+        if total is None:
+            return act.transpose(1, 2, 3, 0)
+        total += act.transpose(1, 2, 3, 0)
+    return total
 
 
 def _gradient_chunk(
-    spec: NetworkSpec, weights: list, inputs: np.ndarray, targets: np.ndarray, scale: float,
+    spec: NetworkSpec, models: list, inputs: np.ndarray, targets: np.ndarray, scale: float,
 ) -> tuple[np.ndarray, float]:
     """`scale` times the chunk's gradient of its summed squared error, as a
-    flat vector, and that summed squared error.  `weights` are the
-    `layer_params` views of the parameters."""
+    flat vector, and that summed squared error.  `models` holds the
+    `layer_params` views of one model's parameters."""
+    [weights] = models
     grad = np.zeros(sum(kernel.size + bias.size for kernel, bias in weights))
     grads = layer_params(spec, grad)
     act = inputs.transpose(3, 0, 1, 2)
@@ -622,27 +622,27 @@ def _gradient_chunk(
     return grad, sse
 
 
-_TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk,
-          "ensemble": _ensemble_pass}
+_TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk}
 
 
 # --------------------------- helper processes ----------------------------
 #
 # A call of more than _SHARE_MACS forward multiply-adds shares its work
 # out: its units are cut into contiguous parts, one for each _SHARE_MACS
-# begun and at most one a process; this process computes the first, and
-# each helper process one of the others.  A part carries the params of each
-# of its jobs once.  A forward's units are samples, placed by position.  A
-# gradient's are the whole chunks of all its jobs, in job order, whose
-# gradients the caller adds to their own job's in chunk order; a gradient
-# sample counts as three forward ones (the forward, the kernel gradient and
-# the input gradient).  An ensemble's (`forward_sum`) are whole draws, whose
-# outputs the caller adds in draw order.  None of this depends on where a
-# part is computed, so the bytes are the same whatever the number of
-# helpers.  A smaller call, under about 1 ms of work, stays here: that is
-# where sharing with a helper that idled 3 ms before the call broke even (a
-# desk-spec forward of 17 samples took 1.06 ms here and 1.07 ms shared, one
-# of 18 samples 1.08 ms here and 1.07 ms shared).
+# begun and at most one a process; this process computes the first, the
+# larger where the cut is uneven, since it sends no request and reads no
+# reply, and each helper process one of the others.  A part carries the
+# params of each of its jobs once.  A forward's units are samples, placed
+# by position, each run under every row of its params stack: a pass sums
+# the rows' outputs (`forward_sum`).  A gradient's are the whole chunks of
+# all its jobs, in job order, whose gradients the caller adds to their own
+# job's in chunk order; a gradient sample counts as three forward ones (the
+# forward, the kernel gradient and the input gradient).  None of this
+# depends on where a part is computed, so the bytes are the same whatever
+# the number of helpers.  A smaller call, under about 1 ms of work, stays
+# here: that is where sharing with a helper that idled 3 ms before the call
+# broke even (a desk-spec forward of 17 samples took 1.06 ms here and
+# 1.07 ms shared, one of 18 samples 1.08 ms here and 1.07 ms shared).
 #
 # A helper trades arrays with this process through its arena, a file that
 # both map: a memfd where the platform has one, else an unlinked temporary
@@ -656,8 +656,8 @@ _TASKS = {"forward": _forward_pass, "gradient": _gradient_chunk,
 # outlives the call.  A call whose helper parts would not fit their arenas
 # runs in waves of whole units, in unit order, each cut into parts as a
 # call is, so that the arena pages mapped here stay bounded while every
-# process computes; an arena grows only to hold one unit that does not fit
-# it.  Either side waits for the other by polling its pipe for
+# process computes; an arena grows only where a part's params and one unit
+# do not fit it.  Either side waits for the other by polling its pipe for
 # _POLL_SECONDS, longer than the gaps between the engine calls of a round,
 # before it sleeps in a blocking read.
 #
@@ -710,39 +710,38 @@ def _helpers(most: int) -> list["_Helper"]:
 
 def _pass_results(task: str, spec: NetworkSpec, jobs: list, take) -> None:
     """Hand `take` each `_answer` result of `task` on `jobs`, in order.  A
-    job is (params, per-sample arrays, extra arguments).  Its units are the
-    samples of its arrays, for a gradient whole chunks of them, or for an
-    ensemble the rows of its params.  A call of more than _SHARE_MACS
-    forward multiply-adds is cut into contiguous parts of whole units, in
-    waves where the helpers' parts would not fit their arenas: the first
-    part of each wave is computed here, the others by helpers, unless
+    job is (params stack, per-sample arrays, extra arguments); a gradient's
+    stack has one row.  Its units are the samples of its arrays, for a
+    gradient whole chunks of them.  A call of more than _SHARE_MACS forward
+    multiply-adds is cut into contiguous parts of whole units, in waves
+    where the helpers' parts would not fit their arenas: the first part of
+    each wave, rounded up, is computed here, the others by helpers, unless
     another thread is using them.  `take` must copy or add each result
     before it returns."""
-    ensemble = task == "ensemble"
     # the chunks fix a gradient's summation order, so its parts and passes
     # are whole chunks; a sample's output does not depend on its pass
-    align, step = (_chunk_size(spec),) * 2 if task == "gradient" else (1, _pass_size(spec))
+    gradient = task == "gradient"
+    align, step = (_chunk_size(spec),) * 2 if gradient else (1, _pass_size(spec))
     if not _pool_lock.acquire(blocking=False):
         for result in _answer(task, spec, jobs, step):
             take(result)
         return
     helpers = []
     try:
-        sizes = [len(params) if ensemble else len(arrays[0]) for params, arrays, _ in jobs]
-        units = [-(-n // align) for n in sizes]
-        # forward samples per sample, or per row of an ensemble's params
-        per_unit = {"forward": 1, "gradient": 3, "ensemble": len(jobs[0][1][0])}[task]
-        macs = sum(sizes) * per_unit * _sample_macs(spec)
+        units = [-(-len(arrays[0]) // align) for _, arrays, _ in jobs]
+        # forward samples: one a sample and row, three a gradient sample
+        forwards = sum(len(arrays[0]) * len(params) for params, arrays, _ in jobs)
+        macs = forwards * (3 if gradient else 1) * _sample_macs(spec)
         # one part for each _SHARE_MACS forward multiply-adds begun
         helpers = _helpers(min(sum(units), -(-macs // _SHARE_MACS)) - 1)
         start, total = 0, sum(units)
-        fits, arena = _arena_plan(task, spec, jobs, align, step) if helpers else (total, 0)
+        fits, arena = _arena_plan(gradient, spec, jobs, align) if helpers else (total, 0)
         while start < total:
             count = len(helpers) + 1
             end = min(total, start + count * fits)
-            cuts = [start + (end - start) * j // count for j in range(count + 1)]
-            work = [(task, spec, part, step)
-                    for part in _parts(jobs, units, align, cuts, ensemble)]
+            # cuts rounded up: the first part, computed here, is the larger
+            cuts = [start + -(-(end - start) * j // count) for j in range(count + 1)]
+            work = [(task, spec, part, step) for part in _parts(jobs, units, align, cuts)]
             for helper, part in zip(helpers, work[1:]):
                 helper.ask(part, arena)
             for result in _answer(*work[0]):
@@ -762,34 +761,28 @@ def _pass_results(task: str, spec: NetworkSpec, jobs: list, take) -> None:
         _pool_lock.release()
 
 
-def _arena_plan(task: str, spec: NetworkSpec, jobs: list, align: int,
-                step: int) -> tuple[int, int]:
+def _arena_plan(gradient: bool, spec: NetworkSpec, jobs: list, align: int) -> tuple[int, int]:
     """The most units of `jobs` a helper's part may hold so that its inputs
     and results fit in _ARENA_BYTES, at least one; and the arena bytes such
-    a part may take, more than _ARENA_BYTES only where one unit does not
-    fit.  Each array may take up to _LINE bytes more than its own."""
-    output = math.prod(spec.input_shape[:2]) * spec.layers[-1].filters * 8
-    if task == "gradient":
+    a part may take, more than _ARENA_BYTES only where its fixed bytes and
+    one unit do not fit.  Each array may take up to _LINE bytes more than
+    its own."""
+    if gradient:
         # a chunk, its job's params and its gradient
         fixed, unit = 0, max(align * sum(a[:1].nbytes for a in arrays) + 2 * params.nbytes
                              + (len(arrays) + 2) * _LINE for params, arrays, _ in jobs)
     else:
+        # the params stack; a sample, its output and a pass's result
         [(params, arrays, _)] = jobs
-        n, sample = len(arrays[0]), sum(a[:1].nbytes for a in arrays)
-        fixed = (len(arrays) + 1) * _LINE
-        if task == "forward":
-            # the params; a sample, its output and a pass's result
-            fixed, unit = fixed + params.nbytes, sample + output + _LINE
-        else:
-            # the samples and each pass's result; a draw's params and outputs
-            fixed += n * sample + -(-n // step) * _LINE
-            unit = params[0].nbytes + n * output
+        output = math.prod(spec.input_shape[:2]) * spec.layers[-1].filters * 8
+        fixed = params.nbytes + (len(arrays) + 1) * _LINE
+        unit = sum(a[:1].nbytes for a in arrays) + output + _LINE
     return max(1, (_ARENA_BYTES - fixed) // unit), max(_ARENA_BYTES, fixed + unit)
 
 
-def _parts(jobs: list, units: list, align: int, cuts: list, ensemble: bool) -> list[list]:
-    """The parts of `jobs`, of `units` units of `align` samples (or rows)
-    each, between successive `cuts`, which count units from the first job's
+def _parts(jobs: list, units: list, align: int, cuts: list) -> list[list]:
+    """The parts of `jobs`, of `units` units of `align` samples each,
+    between successive `cuts`, which count units from the first job's
     first: each part the list of the slices of the jobs in it."""
     bounds = list(itertools.accumulate(units, initial=0))
     parts = []
@@ -798,8 +791,7 @@ def _parts(jobs: list, units: list, align: int, cuts: list, ensemble: bool) -> l
         for (params, arrays, extra), first, last in zip(jobs, bounds, bounds[1:]):
             a, b = (max(lo, first) - first) * align, (min(hi, last) - first) * align
             if a < b:
-                part.append((params[a:b], arrays, extra) if ensemble else
-                            (params, [x[a:b] for x in arrays], extra))
+                part.append((params, [x[a:b] for x in arrays], extra))
         parts.append(part)
     return parts
 
@@ -807,16 +799,15 @@ def _parts(jobs: list, units: list, align: int, cuts: list, ensemble: bool) -> l
 def _answer(task: str, spec: NetworkSpec, jobs: list, step: int, skip: int = 0):
     """The results of `task` on each pass of `step` samples of each job's
     arrays, job after job, but the first `skip`, which are not computed;
-    an ensemble's passes run every row of its params."""
+    each pass runs every row of its job's params stack."""
     for params, arrays, extra in jobs:
         starts = range(0, len(arrays[0]), step)
         starts, skip = starts[skip:], max(0, skip - len(starts))
         if not starts:
             continue
-        weights = ([layer_params(spec, row) for row in params] if task == "ensemble"
-                   else layer_params(spec, params))
+        models = [layer_params(spec, row) for row in params]
         for start in starts:
-            yield _TASKS[task](spec, weights, *(a[start:start + step] for a in arrays), *extra)
+            yield _TASKS[task](spec, models, *(a[start:start + step] for a in arrays), *extra)
 
 
 class _Block(NamedTuple):

@@ -494,9 +494,9 @@ def _shared_call(name):
         p = nn.init_params(spec, 65)
         return (lambda: nn.batch_gradient(spec, p, xs, ys)[0].tobytes(),
                 _share_parts(spec, 2, 3 * 24))
-    # 10 draws of 24 samples: 10 parts
+    # 10 draws over 24 samples: parts of samples, each run under every draw
     draws = np.stack([nn.init_params(spec, seed) for seed in range(10)])
-    return lambda: nn.forward_sum(spec, draws, xs).tobytes(), _share_parts(spec, 10, 240)
+    return lambda: nn.forward_sum(spec, draws, xs).tobytes(), _share_parts(spec, 24, 240)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 5, 64, "desk gradient", "ensemble", "jobs"])
@@ -526,19 +526,71 @@ def test_batch_gradients_gives_each_job_the_bytes_of_its_own_call(helpers, count
     assert len(nn._pool) >= count
 
 
-@pytest.mark.parametrize("count", [0, 1])
-def test_forward_sum_adds_each_draws_own_forward_in_draw_order(helpers, count):
-    # 9 default-spec samples make three passes, each of which a part of the
-    # draws runs with one layer-0 unfold
+def _recorded_asks(monkeypatch):
+    """The (helper, part) of each `_Helper.ask` from now on."""
+    asks, ask = [], nn._Helper.ask
+    monkeypatch.setattr(nn._Helper, "ask", lambda helper, part, *args: asks.append(
+        (helper, part)) or ask(helper, part, *args))
+    return asks
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_forward_sum_adds_each_draws_own_forward_in_draw_order(helpers, monkeypatch, count):
+    # 9 default-spec samples make passes of 4, 4 and 1 here; each pass runs
+    # every draw with one layer-0 unfold.  An arena of the draws' params and
+    # 64 KiB holds two samples' inputs and outputs, so a shared call runs in
+    # waves of two samples a process
     spec, _, xs, _ = _default_batch(9)
     draws = np.stack([nn.init_params(spec, seed) for seed in range(3)])
     helpers(0)
     want = np.zeros(xs.shape[:3] + (2,))
     for params in draws:
         want += nn.forward_batch(spec, params, xs)
+    monkeypatch.setattr(nn, "_ARENA_BYTES", draws.nbytes + (1 << 16))
+    asks = _recorded_asks(monkeypatch)
     helpers(count)
     assert nn.forward_sum(spec, draws, xs).tobytes() == want.tobytes()
     assert len(nn._pool) >= count
+    assert all([h for h, _ in asks].count(helper) > 1 for helper in nn._pool[:count])
+
+
+def test_forward_sum_needs_a_row():
+    spec, _, xs, _ = _default_batch(2)
+    with pytest.raises(ValueError, match="at least one row"):
+        nn.forward_sum(spec, np.zeros((0, nn.param_count(spec))), xs)
+
+
+def test_forward_sum_of_one_draw_has_no_negative_zero(helpers, monkeypatch):
+    # the sum starts from zeros, so a draw's -0.0 adds up to +0.0
+    spec, p, xs, _ = _default_batch(2)
+    helpers(0)
+    task = nn._TASKS["forward"]
+    monkeypatch.setitem(nn._TASKS, "forward", lambda *args: -np.zeros_like(task(*args)))
+    assert np.all(np.signbit(nn.forward_batch(spec, p, xs)))
+    total = nn.forward_sum(spec, p[None], xs)
+    assert not np.any(np.signbit(total)) and not np.any(total)
+
+
+@pytest.mark.parametrize("call, parent, total", [("gradient", 3, 5), ("forward", 8, 15)])
+def test_the_parent_takes_the_larger_part_of_an_uneven_split(helpers, monkeypatch, call,
+                                                              parent, total):
+    # it sends no request and reads no reply: five desk jobs of one chunk
+    # each (a FedBE desk round's local step), or 15 default-spec samples
+    asks = _recorded_asks(monkeypatch)
+    helpers(1)
+    if call == "gradient":
+        spec, rng = desk_spec(), np.random.default_rng(68)
+        jobs = [(nn.init_params(spec, j), rng.normal(size=(8,) + spec.input_shape),
+                 rng.normal(size=(8,) + spec.input_shape[:2] + (2,))) for j in range(5)]
+        nn.batch_gradients(spec, jobs)
+        [(_, (_, _, part, _))] = asks
+        helper = len(part)  # chunks
+    else:
+        spec, p, xs, _ = _default_batch(total)
+        nn.forward_batch(spec, p, xs)
+        [(_, (_, _, [(_, [part], _)], _))] = asks
+        helper = len(part)  # samples
+    assert (total - helper, helper) == (parent, total - parent)
 
 
 @pytest.mark.parametrize("spec, batch, started", [
@@ -677,7 +729,7 @@ def test_helper_answers_a_part_with_one_reply():
     # the parent reads one reply a part; with one a pass, a helper that cut
     # its part into other passes than the parent expected left it blocked
     spec, p, xs, _ = _default_batch(8)
-    part = ("forward", spec, [(p, [xs], ())], nn._pass_size(spec))  # two passes
+    part = ("forward", spec, [(p[None], [xs], ())], nn._pass_size(spec))  # two passes
     helper = nn._Helper()
     replies = []
     try:
@@ -714,12 +766,13 @@ def test_a_helper_reply_is_not_held_whole(helpers):
     assert extra[1] <= extra[0] + (1 << 20)
 
 
-def _wave_call(name):
+def _wave_call(name, monkeypatch):
     """A call whose helper parts do not fit one arena, giving its bytes;
-    and the arena bytes of its largest unit: a 1200-sample default-spec
-    forward, a gradient of 64 three-sample default-spec jobs (two chunks
-    each), or an ensemble of 10 desk draws over 400 samples, where each
-    draw and its inputs take more than an arena."""
+    and the arena bytes of a part of one unit where that grows the arena:
+    a 1200-sample default-spec forward, a gradient of 64 three-sample
+    default-spec jobs (two chunks each), or an ensemble of 10 desk draws
+    over 24 samples, whose 68 KB of params take more than an arena of
+    64 KiB."""
     if name == "forward":
         spec, p, xs, _ = _default_batch(1200)
         return lambda: nn.forward_batch(spec, p, xs).tobytes(), 0
@@ -728,30 +781,29 @@ def _wave_call(name):
         spec = nn.default_network_spec()
         return lambda: _job_bytes(nn.batch_gradients(spec, jobs)), 0
     spec, rng = desk_spec(), np.random.default_rng(67)
-    xs = rng.normal(size=(400,) + spec.input_shape)
+    xs = rng.normal(size=(24,) + spec.input_shape)
     draws = np.stack([nn.init_params(spec, seed) for seed in range(10)])
-    # the inputs, a draw's params and its outputs, as large as the inputs
-    return lambda: nn.forward_sum(spec, draws, xs).tobytes(), 2 * xs.nbytes + draws[0].nbytes
+    monkeypatch.setattr(nn, "_ARENA_BYTES", 1 << 16)
+    # the draws' params, a sample and its output, as large as the sample
+    return lambda: nn.forward_sum(spec, draws, xs).tobytes(), draws.nbytes + 2 * xs[0].nbytes
 
 
 @pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("name", ["forward", "gradient", "ensemble"])
 def test_a_call_beyond_the_arena_runs_in_waves_with_the_same_bytes(
         helpers, monkeypatch, name, count):
-    call, unit = _wave_call(name)
+    call, unit = _wave_call(name, monkeypatch)
     helpers(0)
     want = call()
-    asks = []
-    ask = nn._Helper.ask
-    monkeypatch.setattr(nn._Helper, "ask", lambda helper, *args: asks.append(helper)
-                        or ask(helper, *args))
+    nn._stop_helpers()  # so that every arena starts at _ARENA_BYTES
+    asks = _recorded_asks(monkeypatch)
     helpers(count)
     assert call() == want
     assert len(nn._pool) == count
     # each helper took a request a wave, and more than one wave
-    assert all(asks.count(helper) > 1 for helper in nn._pool)
-    # the arena stays at its size, or grows to hold one unit larger than
-    # that and the few bytes that align its arrays
+    assert all([h for h, _ in asks].count(helper) > 1 for helper in nn._pool)
+    # the arena stays at its size, or grows to hold a part's params and one
+    # unit where they do not fit, and the few bytes that align its arrays
     assert all(len(helper.arena) <= max(nn._ARENA_BYTES, unit + 4096) for helper in nn._pool)
     assert any(len(helper.arena) > nn._ARENA_BYTES for helper in nn._pool) == bool(unit)
 

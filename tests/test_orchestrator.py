@@ -472,7 +472,7 @@ def test_fedbe_round_runs():
 def test_fedbe_desk_run_does_not_depend_on_the_helper_count(monkeypatch):
     # the benchmark's desk FedBE shape: its 24-sample pre-training and
     # distillation steps span two gradient chunks, and its ensemble of ten
-    # draws is shared out by draws
+    # draws is shared out by samples, each run under every draw
     from fedcsi.cli import metrics_to_csv
     acts = ("selu", "softplus", "selu")
     layers = tuple(nn.LayerSpec(3, 3, f, a) for f, a in zip((10, 6, 2), acts))
