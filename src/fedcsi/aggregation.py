@@ -38,14 +38,11 @@ class Aggregator:
     fedbe_distill_lr: Optional[float] = None  # None: the experiment's rate
     eps: float = 1e-8                # stomedian: log offset / sigma floor
 
-    def validate(self, n_updates: Optional[int] = None) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(f"unknown aggregator {self.kind!r}")
-        if self.kind == "trimmed_mean":
-            if self.trim_a < 0:
-                raise ValueError("trim_a must be >= 0")
-            if n_updates is not None and 2 * self.trim_a >= n_updates:
-                raise ValueError(f"trim_a={self.trim_a} needs more than {2 * self.trim_a} updates")
+        if self.kind == "trimmed_mean" and self.trim_a < 0:
+            raise ValueError("trim_a must be >= 0")
         if self.kind == "fedbe":
             if self.fedbe_samples < 1:
                 raise ValueError("fedbe_samples must be >= 1")
@@ -187,6 +184,7 @@ def fed_be(
     distill_epochs: int,
     learning_rate: float,
     batch_size: int,
+    beta1: float = 0.9,
 ) -> np.ndarray:
     if not distill_set:
         raise ValueError("fedbe needs a non-empty distillation set")
@@ -197,7 +195,7 @@ def fed_be(
     ensemble /= samples
     return nn.train_minibatch(
         spec, mu, [(inputs, ensemble, rng)], epochs=distill_epochs, batch_size=batch_size,
-        learning_rate=learning_rate,
+        learning_rate=learning_rate, beta1=beta1,
     )[0]
 
 
@@ -208,11 +206,11 @@ def aggregate(
     rng: Optional[np.random.Generator] = None,
     distill_set: Optional[Sequence] = None,
     spec: Optional[nn.NetworkSpec] = None,
+    beta1: Optional[float] = None,
     learning_rate: Optional[float] = None,
     batch_size: Optional[int] = None,
 ) -> np.ndarray:
     """Dispatch one round's updates through the configured aggregator."""
-    aggregator.validate(len(updates))
     if aggregator.kind == "fedavg":
         return fed_avg(updates)
     if aggregator.kind == "trimmed_mean":
@@ -221,12 +219,12 @@ def aggregate(
         return fed_median(updates)
     if aggregator.kind == "stomedian":
         return sto_median(updates, aggregator.eps)
-    if any(arg is None for arg in (rng, distill_set, spec, learning_rate, batch_size)):
-        raise ValueError("fedbe needs rng, distill_set, spec, learning_rate and batch_size")
+    if any(arg is None for arg in (rng, distill_set, spec, beta1, learning_rate, batch_size)):
+        raise ValueError("fedbe needs rng, distill_set, spec, beta1, learning_rate and batch_size")
     distill_lr = aggregator.fedbe_distill_lr
     return fed_be(
         updates, aggregator.fedbe_samples, rng, distill_set, spec,
         distill_epochs=aggregator.fedbe_distill_epochs,
         learning_rate=learning_rate if distill_lr is None else distill_lr,
-        batch_size=batch_size,
+        batch_size=batch_size, beta1=beta1,
     )

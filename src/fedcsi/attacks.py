@@ -28,18 +28,17 @@ class AttackPlan:
     outdate_lag: float = 1.0
     outdate_pool_depth: int = 5
 
-    def validate(self, n_sbs: Optional[int] = None) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in ATTACK_MODES:
             raise ValueError(f"unknown attack mode {self.mode!r}")
         if self.deployment not in DEPLOYMENTS:
             raise ValueError(f"unknown deployment {self.deployment!r}")
         if not 0.0 <= self.ratio <= 1.0:
             raise ValueError(f"attack ratio {self.ratio} outside [0, 1]")
-        if self.deployment == "targeted":
-            if self.target_sbs is None:
-                raise ValueError("targeted deployment needs target_sbs")
-            if n_sbs is not None and not 0 <= self.target_sbs < n_sbs:
-                raise ValueError(f"target_sbs {self.target_sbs} out of range for N={n_sbs}")
+        if self.deployment == "targeted" and self.target_sbs is None:
+            raise ValueError("targeted deployment needs target_sbs")
+        if self.collusion_payload is not None and not np.isfinite(self.collusion_payload).all():
+            raise ValueError("collusion_payload must be finite")
         if not np.isfinite(self.outdate_lag):
             raise ValueError("outdate_lag must be finite")
         if self.outdate_pool_depth < 1:
@@ -78,7 +77,8 @@ def poison_caches(
     Sample selection is uniform without replacement; the default collusion
     payload freezes to the first victim's original label, in draw order.
     """
-    plan.validate(len(caches))
+    if plan.deployment == "targeted" and not 0 <= plan.target_sbs < len(caches):
+        raise ValueError(f"target_sbs {plan.target_sbs} out of range for N={len(caches)}")
     if plan.ratio == 0.0:
         return caches
     total_len = sum(c.l_n for c in caches)

@@ -35,7 +35,7 @@ class ChannelConfig:
     # exercising it need CSI magnitudes commensurate with its working band.
     gain_scale: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # chained comparisons, so that NaN (which fails every comparison) is rejected
         if not 0.0 < self.gain_scale < np.inf:
             raise ValueError("gain_scale must be finite and > 0")
@@ -185,7 +185,6 @@ def make_samples(
     noise, so the stream and each sample's bytes do not depend on `count`
     or on the blocks the math runs in.
     """
-    cfg.validate()
     if count < 0:
         raise ValueError("count must be >= 0")
     height, width = cfg.grid_height, cfg.grid_width

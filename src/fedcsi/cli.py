@@ -102,12 +102,23 @@ def _from_dict(cls, data, section: str):
     kwargs = {}
     for f in fields:
         if hints[f.name] is nn.NetworkSpec:
-            continue  # parsed by config_from_dict, once the channel grid is known
+            continue  # parsed below, once the channel grid is known
         if f.name in data:
             kwargs[f.name] = _value(data[f.name], hints[f.name], prefix + f.name)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{section} config needs {f.name!r}")
-    return cls(**kwargs)
+    if cls is ExperimentConfig:
+        kwargs["network"] = _network_from_dict(
+            data.get("network", {}), kwargs.get("channel", ChannelConfig()))
+    return _build(cls, **kwargs)
+
+
+def _build(cls, **kwargs):
+    """`cls(**kwargs)`, whose checks raise a ConfigError."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _network_from_dict(data, channel: ChannelConfig) -> nn.NetworkSpec:
@@ -127,18 +138,11 @@ def _network_from_dict(data, channel: ChannelConfig) -> nn.NetworkSpec:
         kh, kw, filters = (_value(v, int, "network layer size") for v in entry[:3])
         activation = _value(entry[3], str, "network layer activation")
         parsed.append(nn.LayerSpec(kh, kw, filters, activation))
-    return nn.NetworkSpec(layers=tuple(parsed), input_shape=(height, width, 2))
+    return _build(nn.NetworkSpec, layers=tuple(parsed), input_shape=(height, width, 2))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    config = _from_dict(ExperimentConfig, data, "experiment")
-    config = dataclasses.replace(
-        config, network=_network_from_dict(data.get("network", {}), config.channel))
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+    return _from_dict(ExperimentConfig, data, "experiment")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -305,14 +309,13 @@ def _run_config(config: ExperimentConfig) -> str:
 
 def _run_cells(cells: list[tuple[str, ExperimentConfig]]) -> list[tuple[str, str]]:
     """The (file name, metrics CSV) of each (file name, config) cell, in
-    order; every cell is checked before the first experiment runs, and each
-    distinct config runs once, on at most one process per usable CPU."""
+    order; the file names are checked before the first experiment runs, and
+    each distinct config runs once, on at most one process per usable CPU."""
     names = set()
-    for name, config in cells:
+    for name, _ in cells:
         if name in names:
             raise ConfigError(f"two cells would write {name}")
         names.add(name)
-        config.validate()
     # pickles differ for any two configs that differ; a repr can elide a
     # large array such as a collusion payload
     keys = [pickle.dumps(config) for _, config in cells]

@@ -28,7 +28,7 @@ class LlpfConfig:
     theta: float = 0.95
     k_sigma: float = 0.6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta {self.theta} outside (0, 1)")
         if not 0.0 < self.k_sigma < math.inf:
@@ -75,7 +75,6 @@ def classify_losses(losses: np.ndarray, cfg: LlpfConfig) -> np.ndarray:
     The location parameter mu is the median loss; a median of zero
     degenerates to trusting everything.
     """
-    cfg.validate()
     mu = float(np.median(losses))
     if mu <= 0.0:
         return np.zeros(len(losses), dtype=bool)

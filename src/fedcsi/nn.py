@@ -86,7 +86,7 @@ class NetworkSpec:
     layers: tuple[LayerSpec, ...]
     input_shape: tuple[int, int, int]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.layers) < 1:
             raise ValueError("network needs at least one layer")
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
@@ -111,7 +111,6 @@ def default_network_spec(height: int = 72, width: int = 14) -> NetworkSpec:
 
 
 def param_count(spec: NetworkSpec) -> int:
-    spec.validate()
     count, c_in = 0, spec.input_shape[2]
     for layer in spec.layers:
         count += (layer.kernel_h * layer.kernel_w * c_in + 1) * layer.filters

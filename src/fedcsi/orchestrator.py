@@ -44,7 +44,7 @@ class ExperimentConfig:
     llpf: llpf.LlpfConfig = field(default_factory=llpf.LlpfConfig)
     master_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("n_sbs", "cache_len_lo", "cache_len_hi", "pretrain_size",
                      "validation_size", "batch_size"):
             if getattr(self, name) < 1:
@@ -65,18 +65,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown local_mode {self.local_mode!r}")
         if self.pretrain_epochs is not None and self.pretrain_epochs < 0:
             raise ValueError("pretrain_epochs must be >= 0")
-        self.network.validate()
-        self.channel.validate()
-        self.aggregator.validate(self.n_sbs)  # one update per station and round
-        self.llpf.validate()
+        trim_a = self.aggregator.trim_a  # a round has one update per station
+        if self.aggregator.kind == "trimmed_mean" and 2 * trim_a >= self.n_sbs:
+            raise ValueError(f"trim_a={trim_a} needs more than {2 * trim_a} updates")
         grid = (self.channel.grid_height, self.channel.grid_width, LABEL_CHANNELS)
         if self.attack is not None:
-            self.attack.validate(self.n_sbs)
+            target = self.attack.target_sbs
+            if self.attack.deployment == "targeted" and not 0 <= target < self.n_sbs:
+                raise ValueError(f"target_sbs {target} out of range for N={self.n_sbs}")
             payload = self.attack.collusion_payload
             if payload is not None and payload.shape != grid:
                 raise ValueError(f"collusion_payload shape {payload.shape} != label grid {grid}")
-            if payload is not None and not np.isfinite(payload).all():
-                raise ValueError("collusion_payload must be finite")
         if tuple(self.network.input_shape) != grid:
             raise ValueError(
                 f"network input {self.network.input_shape} != channel grid {grid}"
@@ -159,7 +158,6 @@ def pretrain(config: ExperimentConfig) -> tuple[np.ndarray, list, list]:
     Returns (weights, pre-training set, validation set); the validation set
     never takes part in any training.
     """
-    config.validate()
     seed = config.master_seed
     pretrain_set = channel.make_samples(
         config.channel, derive_rng(seed, "pretrain-data"), config.pretrain_size)
@@ -292,7 +290,7 @@ def run_round(
     new_params = aggregation.aggregate(
         updates, config.aggregator,
         rng=derive_rng(seed, "aggregate", t),
-        distill_set=state.pretrain_set, spec=config.network,
+        distill_set=state.pretrain_set, spec=config.network, beta1=config.momentum,
         learning_rate=config.learning_rate, batch_size=config.batch_size,
     )
     _check_finite(new_params, lambda i: f"aggregator {config.aggregator.describe()} "
@@ -323,7 +321,6 @@ def _check_validation_separation(caches: list, validation: list) -> None:
 def run_experiment(config: ExperimentConfig) -> list[MetricsRecord]:
     """Pre-train, run all federation rounds, return one record per round plus
     the round-0 pre-training record (seen data = the pre-training set)."""
-    config.validate()
     params, pretrain_set, validation_set = pretrain(config)
     records = [evaluate(config, params, pretrain_set, validation_set)]
     state = FederationState(

@@ -375,12 +375,14 @@ def test_fed_median_holds_with_fewer_than_half_adversaries(side):
 
 def test_aggregator_validation():
     with pytest.raises(ValueError):
-        Aggregator(kind="bogus").validate()
+        Aggregator(kind="bogus")
+    # the aggregator cannot know the round's update count; the trim does
+    six = random_instance(np.random.default_rng(110), n=6, j=4)
+    with pytest.raises(ValueError, match=r"need 0 <= 2a < N, got a=3, N=6"):
+        agg.aggregate(six, Aggregator(kind="trimmed_mean", trim_a=3))
     with pytest.raises(ValueError):
-        Aggregator(kind="trimmed_mean", trim_a=3).validate(n_updates=6)
-    with pytest.raises(ValueError):
-        Aggregator(kind="stomedian", eps=-1.0).validate()
+        Aggregator(kind="stomedian", eps=-1.0)
     with pytest.raises(ValueError, match="fedbe_distill_epochs"):
-        Aggregator(kind="fedbe", fedbe_distill_epochs=-3).validate()
+        Aggregator(kind="fedbe", fedbe_distill_epochs=-3)
     assert Aggregator(kind="trimmed_mean", trim_a=2).describe() == "trimmed_mean(a=2)"
     assert Aggregator(kind="fedbe", fedbe_samples=7).describe() == "fedbe(S=7)"

@@ -209,4 +209,4 @@ def test_invalid_plans_rejected():
             derive_rng(0),
         )
     with pytest.raises(ValueError):
-        AttackPlan(mode="reverse", ratio=1.5).validate()
+        AttackPlan(mode="reverse", ratio=1.5)

@@ -83,11 +83,11 @@ def test_synthesize_deterministic_given_seed():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ChannelConfig(grid_height=1, pilot_rows_stride=2).validate()
+        ChannelConfig(grid_height=1, pilot_rows_stride=2)
     with pytest.raises(ValueError):
-        small_cfg(path_count=0).validate()
+        small_cfg(path_count=0)
     with pytest.raises(ValueError):
-        small_cfg(pilot_noise_stddev=-1.0).validate()
+        small_cfg(pilot_noise_stddev=-1.0)
 
 
 # --------------------------- samples --------------------------------------
@@ -292,4 +292,4 @@ def test_gain_scale_sets_channel_power():
     ])
     assert abs(power - 9.0) < 0.9
     with pytest.raises(ValueError):
-        small_cfg(gain_scale=0.0).validate()
+        small_cfg(gain_scale=0.0)

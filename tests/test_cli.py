@@ -208,12 +208,10 @@ def test_collusion_payload_checked_before_any_work(tmp_path):
     attack = {"mode": "collusion", "ratio": 0.25, "collusion_payload": payload.tolist()}
     cfg = parse_config(write_tiny_config(tmp_path, attack=attack))
     assert np.array_equal(cfg.attack.collusion_payload, payload)
-    # JSON NaN stops at the parser; a library caller reaches validate
+    # JSON NaN stops at the parser; a library caller is stopped building the plan
     payload[0, 0, 0] = np.nan
-    bad = dataclasses.replace(
-        cfg, attack=dataclasses.replace(cfg.attack, collusion_payload=payload))
     with pytest.raises(ValueError, match="collusion_payload must be finite"):
-        bad.validate()
+        dataclasses.replace(cfg.attack, collusion_payload=payload)
 
 
 def test_readme_example_config_parses(tmp_path):

@@ -159,9 +159,9 @@ def test_zero_losses_degenerate_to_trusted():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LlpfConfig(theta=1.0).validate()
+        LlpfConfig(theta=1.0)
     with pytest.raises(ValueError):
-        LlpfConfig(k_sigma=0.0).validate()
+        LlpfConfig(k_sigma=0.0)
 
 
 # --------------------------- filter_caches ----------------------------------

@@ -29,57 +29,56 @@ def test_default_config_mirrors_setup_table():
     assert cfg.batch_size == 64
     # expected total cached data per round is near 2000 at these bounds
     assert cfg.n_sbs * (cfg.cache_len_lo + cfg.cache_len_hi) / 2 == 2000
-    cfg.validate()
 
 
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
-        desk_config(n_sbs=0).validate()
+        desk_config(n_sbs=0)
     with pytest.raises(ValueError):
-        desk_config(cache_len_lo=20, cache_len_hi=10).validate()
+        desk_config(cache_len_lo=20, cache_len_hi=10)
     with pytest.raises(ValueError):
-        desk_config(exclude_fraction=1.0).validate()
+        desk_config(exclude_fraction=1.0)
     with pytest.raises(ValueError):
-        desk_config(network=small_network(10, 10)).validate()  # grid mismatch
+        desk_config(network=small_network(10, 10))  # grid mismatch
     with pytest.raises(ValueError):
-        desk_config(network=small_network(12, 8, filters=(4, 3))).validate()
+        desk_config(network=small_network(12, 8, filters=(4, 3)))
     with pytest.raises(ValueError, match="master_seed must be >= 0"):
-        desk_config(master_seed=-1).validate()
+        desk_config(master_seed=-1)
     # one update per station: trimming 1 per side needs 3 stations, and the
     # config is rejected before pre-training, not in round 1
     trim = aggregation.Aggregator(kind="trimmed_mean", trim_a=1)
     with pytest.raises(ValueError, match="trim_a=1 needs more than 2 updates"):
-        desk_config(n_sbs=2, aggregator=trim).validate()
-    desk_config(n_sbs=3, aggregator=trim).validate()
+        desk_config(n_sbs=2, aggregator=trim)
+    desk_config(n_sbs=3, aggregator=trim)
 
 
 _NAN, _INF = float("nan"), float("inf")
+_GRID = dict(grid_height=12, grid_width=8)
 
 
-@pytest.mark.parametrize("overrides", [
-    pytest.param(dict(learning_rate=_NAN), id="learning_rate-nan"),
-    pytest.param(dict(learning_rate=_INF), id="learning_rate-inf"),
-    pytest.param(dict(momentum=_NAN), id="momentum-nan"),
-    pytest.param(dict(llpf=LlpfConfig(k_sigma=_NAN)), id="llpf.k_sigma-nan"),
-    pytest.param(dict(channel=channel.ChannelConfig(grid_height=12, grid_width=8, gain_scale=_NAN)),
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: desk_config(learning_rate=_NAN), id="learning_rate-nan"),
+    pytest.param(lambda: desk_config(learning_rate=_INF), id="learning_rate-inf"),
+    pytest.param(lambda: desk_config(momentum=_NAN), id="momentum-nan"),
+    pytest.param(lambda: LlpfConfig(k_sigma=_NAN), id="llpf.k_sigma-nan"),
+    pytest.param(lambda: channel.ChannelConfig(**_GRID, gain_scale=_NAN),
                  id="channel.gain_scale-nan"),
-    pytest.param(dict(channel=channel.ChannelConfig(grid_height=12, grid_width=8, gain_scale=_INF)),
+    pytest.param(lambda: channel.ChannelConfig(**_GRID, gain_scale=_INF),
                  id="channel.gain_scale-inf"),
-    pytest.param(dict(channel=channel.ChannelConfig(grid_height=12, grid_width=8,
-                                                    pilot_noise_stddev=_NAN)),
+    pytest.param(lambda: channel.ChannelConfig(**_GRID, pilot_noise_stddev=_NAN),
                  id="channel.pilot_noise_stddev-nan"),
-    pytest.param(dict(aggregator=aggregation.Aggregator(kind="stomedian", eps=_NAN)),
+    pytest.param(lambda: aggregation.Aggregator(kind="stomedian", eps=_NAN),
                  id="aggregator.eps-nan"),
-    pytest.param(dict(aggregator=aggregation.Aggregator(kind="fedbe", fedbe_distill_lr=_NAN)),
+    pytest.param(lambda: aggregation.Aggregator(kind="fedbe", fedbe_distill_lr=_NAN),
                  id="aggregator.fedbe_distill_lr-nan"),
-    pytest.param(dict(attack=AttackPlan(mode="outdate", outdate_lag=_NAN)),
+    pytest.param(lambda: AttackPlan(mode="outdate", outdate_lag=_NAN),
                  id="attack.outdate_lag-nan"),
 ])
-def test_config_rejects_non_finite_values_from_library_callers(overrides):
-    # the JSON parser rejects NaN and Infinity itself; dataclasses built in
-    # code reach only validate, where NaN fails every comparison
+def test_config_rejects_non_finite_values_from_library_callers(build):
+    # the JSON parser rejects NaN and Infinity itself; a dataclass built in
+    # code is checked when it is built, where NaN fails every comparison
     with pytest.raises(ValueError):
-        desk_config(**overrides).validate()
+        build()
 
 
 # --------------------------- pretrain ---------------------------------------
@@ -467,6 +466,35 @@ def test_fedbe_round_runs():
     records = run_cached(cfg)
     assert len(records) == 2
     assert records[1].aggregator == "fedbe(S=3)"
+
+
+def test_fedbe_distillation_takes_the_configs_momentum(monkeypatch):
+    cfg = desk_config(rounds=1, momentum=0.5, aggregator=aggregation.Aggregator(
+        kind="fedbe", fedbe_samples=3, fedbe_distill_epochs=2))
+    seen = {}
+    real = aggregation.aggregate
+
+    def spy(updates, aggregator, **kw):
+        seen["updates"] = updates
+        return real(updates, aggregator, **kw)
+
+    monkeypatch.setattr(aggregation, "aggregate", spy)
+    params, pre, val = pretrain(cfg)
+    state, _ = run_round(FederationState(0, params, pre, val, None), cfg)
+
+    def distilled(beta1):
+        """FedBE by hand: the round's draws and ensemble, distilled at beta1."""
+        rng = orchestrator.derive_rng(cfg.master_seed, "aggregate", 1)
+        mu, var = aggregation.fed_be_fit(seen["updates"])
+        draws = aggregation.fed_be_sample(mu, var, 3, rng)
+        inputs = np.stack([s.input for s in pre])
+        ensemble = nn.forward_sum(cfg.network, draws, inputs) / 3
+        return nn.train_minibatch(
+            cfg.network, mu, [(inputs, ensemble, rng)], epochs=2, batch_size=cfg.batch_size,
+            learning_rate=cfg.learning_rate, beta1=beta1)[0]
+
+    assert np.array_equal(state.global_params, distilled(0.5))
+    assert not np.allclose(state.global_params, distilled(0.9))
 
 
 def test_fedbe_desk_run_does_not_depend_on_the_helper_count(monkeypatch):
