@@ -8,13 +8,13 @@ centred on the median, combine by normalized filter probabilities).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import nn
+from ._fields import check_fields
 
 FEDBE_VARIANCE_FLOOR = 1e-12
 AGGREGATOR_KINDS = ("fedavg", "trimmed_mean", "fedmedian", "fedbe", "stomedian")
@@ -39,6 +39,7 @@ class Aggregator:
     eps: float = 1e-8                # stomedian: log offset / sigma floor
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(f"unknown aggregator {self.kind!r}")
         if self.kind == "trimmed_mean" and self.trim_a < 0:
@@ -48,12 +49,10 @@ class Aggregator:
                 raise ValueError("fedbe_samples must be >= 1")
             if self.fedbe_distill_epochs < 0:
                 raise ValueError("fedbe_distill_epochs must be >= 0")
-            lr = self.fedbe_distill_lr
-            # chained comparisons, so that NaN (which fails every comparison) is rejected
-            if lr is not None and not 0.0 < lr < math.inf:
+            if self.fedbe_distill_lr is not None and self.fedbe_distill_lr <= 0:
                 raise ValueError("fedbe_distill_lr must be finite and > 0")
         if self.kind == "stomedian":
-            if not 0.0 < self.eps < math.inf:
+            if self.eps <= 0:
                 raise ValueError("stomedian eps must be finite and > 0")
 
     def describe(self) -> str:

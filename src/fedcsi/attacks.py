@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._fields import check_fields
 from .channel import CachedDataset, ChannelSample, lagged_label
 
 ATTACK_MODES = ("outdate", "collusion", "reverse")
@@ -29,6 +30,7 @@ class AttackPlan:
     outdate_pool_depth: int = 5
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.mode not in ATTACK_MODES:
             raise ValueError(f"unknown attack mode {self.mode!r}")
         if self.deployment not in DEPLOYMENTS:
@@ -37,10 +39,6 @@ class AttackPlan:
             raise ValueError(f"attack ratio {self.ratio} outside [0, 1]")
         if self.deployment == "targeted" and self.target_sbs is None:
             raise ValueError("targeted deployment needs target_sbs")
-        if self.collusion_payload is not None and not np.isfinite(self.collusion_payload).all():
-            raise ValueError("collusion_payload must be finite")
-        if not np.isfinite(self.outdate_lag):
-            raise ValueError("outdate_lag must be finite")
         if self.outdate_pool_depth < 1:
             raise ValueError("outdate_pool_depth must be >= 1")
 

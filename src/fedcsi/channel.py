@@ -19,6 +19,8 @@ from typing import Optional
 
 import numpy as np
 
+from ._fields import check_fields
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -36,8 +38,8 @@ class ChannelConfig:
     gain_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        # chained comparisons, so that NaN (which fails every comparison) is rejected
-        if not 0.0 < self.gain_scale < np.inf:
+        check_fields(self)
+        if self.gain_scale <= 0:
             raise ValueError("gain_scale must be finite and > 0")
         if self.grid_height < self.pilot_rows_stride or self.grid_width < self.pilot_cols_stride:
             raise ValueError("grid dimensions must be >= pilot strides")
@@ -47,7 +49,7 @@ class ChannelConfig:
             raise ValueError("path_count must be >= 1")
         if self.max_delay_taps < 0:
             raise ValueError("max_delay_taps must be >= 0")
-        if not (0.0 <= self.pilot_noise_stddev < np.inf and 0.0 <= self.doppler_spread < np.inf):
+        if self.pilot_noise_stddev < 0 or self.doppler_spread < 0:
             raise ValueError("noise stddev and doppler spread must be finite and >= 0")
 
 

@@ -17,17 +17,16 @@ import os
 import pickle
 import sys
 import tempfile
-import types
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
-
-import numpy as np
+from typing import Optional
 
 from . import nn, plotting
-from .aggregation import AGGREGATOR_KINDS
+from ._fields import FieldTypeError
+from .aggregation import AGGREGATOR_KINDS, Aggregator
 from .attacks import ATTACK_MODES, DEPLOYMENTS, AttackPlan
 from .channel import ChannelConfig
+from .llpf import LlpfConfig
 from .orchestrator import ExperimentConfig, MetricsRecord, run_experiment
 
 CSV_FIELDS = (
@@ -41,47 +40,12 @@ class ConfigError(ValueError):
 
 
 # --------------------------- config parsing --------------------------------
-# The config dataclasses are the schema: each section is read field by field
-# from the dataclass's type hints, so a new field needs no parser change.
+# The config dataclasses are the schema: a section's keys are its class's
+# fields, and each class checks its own field types and ranges when built.
 
-def _value(value, hint, name: str):
-    """`value` as type `hint` without lossy casts: a bool is not a number, an
-    int field takes a float only if it is integral, a float must be finite,
-    and bool and str fields take only their own JSON type."""
-    if get_origin(hint) in (Union, types.UnionType):
-        if value is None:
-            return None
-        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
-    if dataclasses.is_dataclass(hint):
-        return _from_dict(hint, value, name)
-    if hint is np.ndarray:
-        values = _floats(value, name)
-        try:
-            return np.asarray(values, dtype=np.float64)
-        except ValueError as exc:  # ragged nesting
-            raise ConfigError(f"{name} must be a rectangular array: {exc}") from exc
-    if hint in (bool, str):
-        if type(value) is not hint:
-            raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
-        return value
-    if hint not in (int, float):
-        raise TypeError(f"no config rule for {name}: {hint!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    if hint is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    try:
-        return hint(value)
-    except OverflowError:  # an int beyond the float range
-        raise ConfigError(f"{name} must be finite, got {value!r}") from None
-
-
-def _floats(value, name: str):
-    if isinstance(value, list):
-        return [_floats(v, name) for v in value]
-    return _value(value, float, name)
+# the sections of an experiment config; the network is built on the channel's grid
+_SECTIONS = {"channel": ChannelConfig, "attack": AttackPlan, "aggregator": Aggregator,
+             "llpf": LlpfConfig}
 
 
 def _object(data, section: str, allowed) -> None:
@@ -92,31 +56,24 @@ def _object(data, section: str, allowed) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r} in {section} config")
 
 
-def _from_dict(cls, data, section: str):
-    """An instance of dataclass `cls` from a JSON object; absent keys keep
-    the field defaults."""
+def _fields(cls, data, section: str) -> dict:
+    """JSON object `data` as keyword arguments of dataclass `cls`, checked for
+    unknown and missing keys; absent keys keep the field defaults."""
     fields = dataclasses.fields(cls)
     _object(data, section, {f.name for f in fields})
-    hints = get_type_hints(cls)
-    prefix = "" if cls is ExperimentConfig else f"{section}."
-    kwargs = {}
     for f in fields:
-        if hints[f.name] is nn.NetworkSpec:
-            continue  # parsed below, once the channel grid is known
-        if f.name in data:
-            kwargs[f.name] = _value(data[f.name], hints[f.name], prefix + f.name)
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+        if f.name not in data and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{section} config needs {f.name!r}")
-    if cls is ExperimentConfig:
-        kwargs["network"] = _network_from_dict(
-            data.get("network", {}), kwargs.get("channel", ChannelConfig()))
-    return _build(cls, **kwargs)
+    return dict(data)
 
 
-def _build(cls, **kwargs):
-    """`cls(**kwargs)`, whose checks raise a ConfigError."""
+def _build(cls, prefix: str, *args, **kwargs):
+    """`cls(*args, **kwargs)`, whose checks raise a ConfigError; a field of
+    the wrong type is named after `prefix`."""
     try:
-        return cls(**kwargs)
+        return cls(*args, **kwargs)
+    except FieldTypeError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -135,14 +92,18 @@ def _network_from_dict(data, channel: ChannelConfig) -> nn.NetworkSpec:
     for entry in layers:
         if not isinstance(entry, list) or len(entry) != 4:
             raise ConfigError(f"network layer {entry!r} must be [kh, kw, filters, activation]")
-        kh, kw, filters = (_value(v, int, "network layer size") for v in entry[:3])
-        activation = _value(entry[3], str, "network layer activation")
-        parsed.append(nn.LayerSpec(kh, kw, filters, activation))
-    return _build(nn.NetworkSpec, layers=tuple(parsed), input_shape=(height, width, 2))
+        parsed.append(_build(nn.LayerSpec, "network layer size or activation: ", *entry))
+    return _build(nn.NetworkSpec, "network.", layers=tuple(parsed), input_shape=(height, width, 2))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    return _from_dict(ExperimentConfig, data, "experiment")
+    kwargs = _fields(ExperimentConfig, data, "experiment")
+    for name, cls in _SECTIONS.items():
+        if name in kwargs and not (name == "attack" and kwargs[name] is None):  # null: no attack
+            kwargs[name] = _build(cls, f"{name}.", **_fields(cls, kwargs[name], name))
+    kwargs["network"] = _network_from_dict(
+        kwargs.get("network", {}), kwargs.get("channel", ChannelConfig()))
+    return _build(ExperimentConfig, "", **kwargs)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -316,8 +277,9 @@ def _run_cells(cells: list[tuple[str, ExperimentConfig]]) -> list[tuple[str, str
         if name in names:
             raise ConfigError(f"two cells would write {name}")
         names.add(name)
-    # pickles differ for any two configs that differ; a repr can elide a
-    # large array such as a collusion payload
+    # pickles differ for any two configs that differ (a repr can elide a
+    # large array such as a collusion payload); the type rule stores
+    # `rounds=2.0` as the int 2, so it shares the key of `rounds=2`
     keys = [pickle.dumps(config) for _, config in cells]
     configs = dict(zip(keys, (config for _, config in cells)))
     # whole experiments share no data, so a pool of them beats one process

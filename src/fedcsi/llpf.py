@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
+from ._fields import check_fields
 from .channel import CachedDataset, ChannelSample
 
 log = logging.getLogger(__name__)
@@ -29,9 +30,10 @@ class LlpfConfig:
     k_sigma: float = 0.6
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta {self.theta} outside (0, 1)")
-        if not 0.0 < self.k_sigma < math.inf:
+        if self.k_sigma <= 0:
             raise ValueError(f"k_sigma {self.k_sigma} must be finite and > 0")
 
 

@@ -34,6 +34,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._fields import check_fields
+
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 SOFTPLUS_CUTOFF = 30.0  # softplus(x) ~ x above this; avoids exp overflow
@@ -78,6 +80,9 @@ class LayerSpec:
     filters: int
     activation: str
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -87,6 +92,7 @@ class NetworkSpec:
     input_shape: tuple[int, int, int]
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if len(self.layers) < 1:
             raise ValueError("network needs at least one layer")
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
@@ -438,7 +444,7 @@ def _conv(x: np.ndarray, kernel: np.ndarray, layout: tuple,
 # --------------------------- public ops ----------------------------------
 
 def _check_input(spec: NetworkSpec, x: np.ndarray) -> None:
-    if x.shape[1:] != tuple(spec.input_shape):
+    if x.shape[1:] != spec.input_shape:
         raise ValueError(f"input shape {x.shape} is not (batch,) + spec {spec.input_shape}")
 
 

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import aggregation, attacks, channel, llpf, nn
+from ._fields import check_fields
 from .seeds import derive_rng
 
 LABEL_CHANNELS = 2
@@ -45,6 +46,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name in ("n_sbs", "cache_len_lo", "cache_len_hi", "pretrain_size",
                      "validation_size", "batch_size"):
             if getattr(self, name) < 1:
@@ -54,8 +56,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.cache_len_lo > self.cache_len_hi:
             raise ValueError("cache_len_lo must be <= cache_len_hi")
-        # chained comparisons, so that NaN (which fails every comparison) is rejected
-        if not 0.0 < self.learning_rate < np.inf:
+        if self.learning_rate <= 0:
             raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum (Adam beta1) must be in [0, 1)")
@@ -76,10 +77,8 @@ class ExperimentConfig:
             payload = self.attack.collusion_payload
             if payload is not None and payload.shape != grid:
                 raise ValueError(f"collusion_payload shape {payload.shape} != label grid {grid}")
-        if tuple(self.network.input_shape) != grid:
-            raise ValueError(
-                f"network input {self.network.input_shape} != channel grid {grid}"
-            )
+        if self.network.input_shape != grid:
+            raise ValueError(f"network input {self.network.input_shape} != channel grid {grid}")
         if self.network.layers[-1].filters != LABEL_CHANNELS:
             raise ValueError("final layer must emit the two label channels")
 

@@ -416,6 +416,18 @@ def test_cells_that_differ_deep_in_a_large_payload_both_run(monkeypatch):
     assert [r.attack.collusion_payload[36, 7, 0] for r in ran] == [0.0, 1.0]
 
 
+def test_cells_whose_configs_differ_only_in_number_type_run_once(monkeypatch):
+    # each config stores `rounds` as the int 2, so the cells pickle alike
+    base = cli.config_from_dict({})
+    cells = [(f"{i}.csv", dataclasses.replace(base, rounds=rounds))
+             for i, rounds in enumerate((2, 2.0, np.int64(2)))]
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: ran.append(config) or [])
+    files = cli._run_cells(cells)
+    assert ran == [cells[0][1]]
+    assert [name for name, _ in files] == ["0.csv", "1.csv", "2.csv"]
+
+
 @pytest.mark.parametrize("usable, seeds, workers", [
     (4, (1, 2, 3), [3]),  # one worker per distinct config
     (2, (1, 2, 3), [2]),  # one worker per CPU

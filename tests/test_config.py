@@ -1,25 +1,32 @@
 """A config is checked when it is built: each config dataclass rejects a bad
 value at construction and at `dataclasses.replace`, with one message, and
-the CLI turns that message into one error line naming the config file."""
+the CLI turns that message into one error line naming the config file.
+Field types obey one rule, applied first, which a table generated from the
+classes' type hints checks for every field."""
 import dataclasses
+import inspect
 import json
+import types
 from functools import partial
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
 from conftest import desk_config, small_network
 
-from fedcsi import cli, nn
+from fedcsi import aggregation, attacks, channel, cli, llpf, nn, orchestrator
 from fedcsi.aggregation import Aggregator
 from fedcsi.attacks import AttackPlan
 from fedcsi.channel import ChannelConfig
 from fedcsi.llpf import LlpfConfig
+from fedcsi.orchestrator import ExperimentConfig
 
 NAN, INF = float("nan"), float("inf")
 
 _DESK = small_network(12, 8)
 network = partial(nn.NetworkSpec, layers=_DESK.layers, input_shape=(12, 8, 2))
+layer = partial(nn.LayerSpec, kernel_h=3, kernel_w=3, filters=2, activation="selu")
 
 
 def _layer(**changes):
@@ -36,8 +43,10 @@ def _rows(build, message, *cases):
 
 
 def _floats(build, name, message, *values):
-    """Rows for a float field: the given bad values, then NaN and inf."""
-    return _rows(build, message, *({name: v} for v in (*values, NAN, INF)))
+    """Rows for a float field: the given bad values, then NaN and inf, which
+    the type rule rejects."""
+    return [*_rows(build, message, *({name: v} for v in values)),
+            *_rows(build, f"{name} must be finite, got {{{name}!r}}", {name: NAN}, {name: INF})]
 
 
 # (builder, bad field values, the message construction raises)
@@ -75,7 +84,7 @@ REJECTED = [
     *_rows(partial(AttackPlan, mode="collusion"), "collusion_payload must be finite",
            dict(collusion_payload=np.full((12, 8, 2), NAN)),
            dict(collusion_payload=np.full((12, 8, 2), -INF))),
-    *_rows(partial(AttackPlan, mode="outdate"), "outdate_lag must be finite",
+    *_rows(partial(AttackPlan, mode="outdate"), "outdate_lag must be finite, got {outdate_lag!r}",
            dict(outdate_lag=NAN), dict(outdate_lag=INF), dict(outdate_lag=-INF)),
     *_rows(partial(AttackPlan, mode="outdate"), "outdate_pool_depth must be >= 1",
            dict(outdate_pool_depth=0)),
@@ -115,6 +124,22 @@ REJECTED = [
            dict(network=small_network(10, 10))),
     *_rows(desk_config, "final layer must emit the two label channels",
            dict(network=small_network(12, 8, filters=(4, 3)))),
+
+    # wrong-typed values that would otherwise build and then fail late in
+    # numpy or, for a str `enabled`, turn LLPF on
+    *_rows(ExperimentConfig, "n_sbs must be an integer, got 2.5", dict(n_sbs=2.5)),
+    *_rows(ExperimentConfig, "rounds must be finite, got nan", dict(rounds=NAN)),
+    *_rows(ExperimentConfig, "batch_size must be int, got True", dict(batch_size=True)),
+    *_rows(ExperimentConfig, "master_seed must be an integer, got 1.5", dict(master_seed=1.5)),
+    *_rows(ChannelConfig, "grid_height must be an integer, got 12.5", dict(grid_height=12.5)),
+    *_rows(layer, "kernel_h must be an integer, got 2.5", dict(kernel_h=2.5)),
+    *_rows(partial(Aggregator, kind="trimmed_mean"), "trim_a must be int, got True",
+           dict(trim_a=True)),
+    *_rows(LlpfConfig, "enabled must be bool, got 'no'", dict(enabled="no")),
+    # a tuple's elements obey the rule too
+    *_rows(network, "input_shape must be an integer, got 8.5", dict(input_shape=(12, 8.5, 2))),
+    *_rows(network, "layers must be LayerSpec, got (3, 3, 2, 'selu')",
+           dict(layers=((3, 3, 2, "selu"),))),
 ]
 
 
@@ -131,6 +156,86 @@ def test_a_bad_value_is_rejected_at_replace(build, overrides, message):
     with pytest.raises(ValueError) as info:
         dataclasses.replace(valid, **overrides)
     assert str(info.value) == message
+
+
+# --------------------------- the type rule ---------------------------------
+# Generated from each class's type hints, so that a field added later is held
+# to the rule without a new row.
+
+BUILDERS = [layer, network, ChannelConfig, LlpfConfig, partial(AttackPlan, mode="reverse"),
+            Aggregator, desk_config]
+
+
+def _hints(build):
+    """(field name, hint without its Optional, valid value) of each field."""
+    valid = build()
+    for name, hint in get_type_hints(type(valid)).items():
+        if get_origin(hint) in (Union, types.UnionType):
+            (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        yield name, hint, getattr(valid, name)
+
+
+def _wrong(hint, valid):
+    """(value, message after the field name) for each wrong-typed value."""
+    if hint is int:
+        return [(True, "must be int, got True"), (2.5, "must be an integer, got 2.5")]
+    if hint is float:
+        return [(True, "must be float, got True"),
+                *((v, f"must be finite, got {v!r}") for v in (NAN, INF, -INF))]
+    if hint in (bool, str):
+        return [(1, f"must be {hint.__name__}, got 1")]
+    if get_origin(hint) is tuple:
+        return [(list(valid), f"must be tuple, got {list(valid)!r}")]
+    if hint is np.ndarray:
+        return [(np.array([True]), "must be a float array, got dtype bool"),
+                (np.array([NAN]), "must be finite")]
+    assert dataclasses.is_dataclass(hint), f"no rows for {hint!r}"
+    return [({}, f"must be {hint.__name__}, got {{}}")]
+
+
+def _kept(hint, valid):
+    """(value, stored value) for each value of another type that the rule
+    takes: an int field stores an int, a float field a float."""
+    if hint is int:
+        valid = 1 if valid is None else valid
+        return [(float(valid), valid), (np.int64(valid), valid)]
+    if hint is float:
+        valid = 0.5 if valid is None else valid
+        return [(np.float64(valid), valid)] + [(int(valid), valid)] * valid.is_integer()
+    return []
+
+
+WRONG = [pytest.param(build, {name: value}, f"{name} {message}",
+                      id=f"{type(build()).__name__}.{name}={type(value).__name__}"
+                         + (f":{value}" if np.isscalar(value) else ""))
+         for build in BUILDERS for name, hint, valid in _hints(build)
+         for value, message in _wrong(hint, valid)]
+KEPT = [pytest.param(build, name, value, stored,
+                     id=f"{type(build()).__name__}.{name}={type(value).__name__}")
+        for build in BUILDERS for name, hint, valid in _hints(build)
+        for value, stored in _kept(hint, valid)]
+
+
+@pytest.mark.parametrize("build, overrides, message", WRONG)
+def test_a_wrong_type_is_rejected_at_construction_and_replace(build, overrides, message):
+    for make in (lambda: build(**overrides), lambda: dataclasses.replace(build(), **overrides)):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, name, value, stored", KEPT)
+def test_an_int_or_float_field_stores_its_own_type(build, name, value, stored):
+    for config in (build(**{name: value}), dataclasses.replace(build(), **{name: value})):
+        assert getattr(config, name) == stored
+        assert type(getattr(config, name)) is type(stored)
+
+
+def test_every_class_under_the_rule_has_rows():
+    under_rule = {cls for module in (nn, channel, llpf, attacks, aggregation, orchestrator)
+                  for cls in vars(module).values()
+                  if dataclasses.is_dataclass(cls) and "check_fields(self)" in inspect.getsource(cls)}
+    assert under_rule == {type(build()) for build in BUILDERS}
 
 
 CLI_REJECTED = [
