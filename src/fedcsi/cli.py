@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
-from . import nn, plotting
+from . import engine, nn, plotting
 from ._fields import FieldTypeError
 from .aggregation import AGGREGATOR_KINDS, Aggregator
 from .attacks import ATTACK_MODES, DEPLOYMENTS, AttackPlan
@@ -285,7 +285,7 @@ def _run_cells(cells: list[tuple[str, ExperimentConfig]]) -> list[tuple[str, str
     # whole experiments share no data, so a pool of them beats one process
     # with helpers: on 2 CPUs, two paper-grid experiments took 22.6 s in a
     # pool and 26.6 s here with a helper
-    workers = min(len(configs), nn.usable_cpus())
+    workers = min(len(configs), engine.usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             texts = dict(zip(configs, pool.map(_run_config, configs.values())))

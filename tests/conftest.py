@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fedcsi import nn
+from fedcsi import engine, nn
 from fedcsi.aggregation import Aggregator
 from fedcsi.channel import ChannelConfig
 from fedcsi.llpf import LlpfConfig
@@ -20,8 +20,22 @@ def small_network(height, width, filters=(6, 4, 2), kernel=3):
 @pytest.fixture
 def helpers(monkeypatch):
     """Set the number of engine helper processes; stop them all afterwards."""
-    yield lambda count: monkeypatch.setattr(nn, "_helper_count", lambda: count)
-    nn._stop_helpers()
+    yield lambda count: monkeypatch.setattr(engine, "_helper_count", lambda: count)
+    engine._stop_helpers()
+
+
+def desk_spec():
+    """The 36x10 desk network: layers of 10, 6 and 2 filters."""
+    return small_network(36, 10, filters=(10, 6, 2))
+
+
+def default_batch(batch, seed=63):
+    """A default-spec batch: the spec, params, inputs and targets."""
+    spec = nn.default_network_spec()
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(batch,) + spec.input_shape)
+    ys = rng.normal(size=(batch,) + spec.input_shape[:2] + (2,))
+    return spec, nn.init_params(spec, seed), xs, ys
 
 
 def forward_one(spec, params, x):

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import mse, ranking_config, run_cached
 
-from fedcsi import channel, cli, llpf, nn, orchestrator
+from fedcsi import channel, cli, engine, llpf, nn, orchestrator
 from fedcsi import aggregation as agg
 from fedcsi.aggregation import Aggregator, WeightUpdate
 from fedcsi.attacks import AttackPlan, poison_caches
@@ -284,7 +284,7 @@ def test_c10_determinism(tmp_path, monkeypatch):
     # one usable CPU runs the cells here, four run them on a pool of four
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     for cpus, out in ((1, serial), (4, parallel)):
-        monkeypatch.setattr(nn, "usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(engine, "usable_cpus", lambda cpus=cpus: cpus)
         assert cli.run(["sweep", *sweep_args, "--out", str(out)]) == 0
     serial_files = sorted(p.name for p in serial.iterdir())
     parallel_files = sorted(p.name for p in parallel.iterdir())
@@ -330,13 +330,13 @@ def test_c10_bytes_do_not_depend_on_engine_helpers(tmp_path, monkeypatch):
             cfg_path.write_text(json.dumps(config))
             outputs = []
             for count in (0, 1, 2):
-                monkeypatch.setattr(nn, "_helper_count", lambda count=count: count)
+                monkeypatch.setattr(engine, "_helper_count", lambda count=count: count)
                 out = tmp_path / f"{name}-{count}"
                 assert cli.run(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
                 outputs.append((out / "metrics.csv").read_bytes())
             same.append(outputs[1] == outputs[0] and outputs[2] == outputs[0])
     finally:
-        nn._stop_helpers()
+        engine._stop_helpers()
     _report(
         "criterion 10 (byte-identical runs with 0, 1 and 2 engine helpers)",
         all(same), "default-spec and desk FedBE runs compared",

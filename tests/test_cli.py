@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcsi import cli, nn
+from fedcsi import cli, engine
 from fedcsi.attacks import AttackPlan
 from fedcsi.cli import ConfigError, parse_config
 
@@ -45,7 +45,7 @@ def cpus(monkeypatch):
     (where a spy on `run_experiment` sees them, and nothing forks), unless
     the test pins another count."""
     def pin(count):
-        monkeypatch.setattr(nn, "usable_cpus", lambda: count)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: count)
 
     pin(1)
     return pin

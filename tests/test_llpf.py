@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import forward_one
-from test_nn import desk_spec
+from conftest import desk_spec, forward_one
 
-from fedcsi import channel, llpf, nn
+from fedcsi import channel, engine, llpf, nn
 from fedcsi.attacks import AttackPlan, poison_caches, reverse_label
 from fedcsi.llpf import LlpfConfig
 from fedcsi.seeds import derive_rng
@@ -243,7 +242,7 @@ def test_filter_caches_gives_each_cache_what_it_gets_alone(helpers, count):
     helpers(count)
     together = llpf.filter_caches(spec, params, caches, cfg,
                                   [derive_rng(6, "llpf", 1, c.sbs_id) for c in caches])
-    assert len(nn._pool) >= count
+    assert len(engine._pool) >= count
     replaced = []
     for cache, want, got in zip(caches, alone, together):
         # the same replaced positions, filled with the same sample objects

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import desk_config, forward_one, mse, run_cached, small_network
 
-from fedcsi import aggregation, channel, llpf, nn, orchestrator
+from fedcsi import aggregation, channel, engine, llpf, nn, orchestrator
 from fedcsi.attacks import AttackPlan
 from fedcsi.llpf import LlpfConfig
 from fedcsi.orchestrator import (
@@ -176,14 +176,14 @@ def test_lockstep_stations_get_the_bytes_they_get_alone(monkeypatch, mode):
     params = nn.init_params(cfg.network, 10)
     try:
         for count in (0, 1, 2):
-            monkeypatch.setattr(nn, "_helper_count", lambda count=count: count)
+            monkeypatch.setattr(engine, "_helper_count", lambda count=count: count)
             together = local_train(params, caches, cfg, 1)
             alone = [local_train(params, [cache], cfg, 1)[0] for cache in caches]
             assert [(u.sbs_id, u.l_n, u.params.tobytes()) for u in together] == \
                 [(u.sbs_id, u.l_n, u.params.tobytes()) for u in alone]
-            assert len(nn._pool) >= count
+            assert len(engine._pool) >= count
     finally:
-        nn._stop_helpers()
+        engine._stop_helpers()
 
 
 def test_local_training_loss_mostly_non_increasing():
@@ -518,9 +518,9 @@ def test_fedbe_desk_run_does_not_depend_on_the_helper_count(monkeypatch):
     csvs = []
     try:
         for count in (0, 1):
-            monkeypatch.setattr(nn, "_helper_count", lambda count=count: count)
+            monkeypatch.setattr(engine, "_helper_count", lambda count=count: count)
             csvs.append(metrics_to_csv(orchestrator.run_experiment(cfg)))
-            assert len(nn._pool) >= count
+            assert len(engine._pool) >= count
     finally:
-        nn._stop_helpers()
+        engine._stop_helpers()
     assert csvs[1] == csvs[0]
