@@ -77,7 +77,7 @@ class CachedDataset:
 
     samples: list
     sbs_id: int = 0
-    round_index: int = 0
+    round_index: int = 0  # the round it trains in
     # client-owned sample count, used as the aggregation weight; top-up
     # padding appended by the server does not change it
     aggregation_len: int = 0

@@ -98,12 +98,13 @@ class MetricsRecord:
 
 @dataclass(frozen=True)
 class FederationState:
+    """The training trajectory and the experiment's fixed server sets; each
+    round builds its own caches, so no round's samples outlive it."""
     round_index: int
     global_params: np.ndarray
     pretrain_set: list
     validation_set: list
     attack_plan: Optional[attacks.AttackPlan]
-    caches: Optional[list] = None  # round one's caches, kept only under persist_caches
 
 
 def _attack_fields(plan: Optional[attacks.AttackPlan]) -> tuple[str, str, float]:
@@ -184,9 +185,8 @@ def local_train(
     round_index: int,
 ) -> list[aggregation.WeightUpdate]:
     """Fine-tune a copy of the global model on each of one round's caches in
-    training round `round_index`, which keys the shuffles (a persisted
-    cache keeps round 1).  The caches train in lockstep, each as if alone;
-    the updates come in cache order.
+    training round `round_index`, which keys the shuffles.  The caches train
+    in lockstep, each as if alone; the updates come in cache order.
 
     The reported dataset length is the client-owned (pre-top-up) count, so
     server padding never inflates a station's aggregation weight.
@@ -230,23 +230,26 @@ def _exclude_authentic(
 
 def _build_round_caches(config: ExperimentConfig, t: int,
                         plan: Optional[attacks.AttackPlan], pretrain_set: list):
-    """Round t's poisoned, topped-up caches and the attack plan after it.
-    A round makes at most n_sbs * cache_len_hi samples, so its uids take
-    their own block after the server sets'."""
+    """The poisoned, topped-up caches that train in round t, and the attack
+    plan after them.  Every stream and the uid block are round 1's under
+    persist_caches (a frozen collusion payload is in the plan), else round
+    t's: a round makes at most n_sbs * cache_len_hi samples, so its uids
+    take their own block after the server sets'."""
     seed = config.master_seed
-    lengths = derive_rng(seed, "lengths", t).integers(
+    stream_round = 1 if config.persist_caches else t
+    lengths = derive_rng(seed, "lengths", stream_round).integers(
         config.cache_len_lo, config.cache_len_hi + 1, size=config.n_sbs
     )
     caches = channel.generate_round_caches(
-        config.channel, [int(l) for l in lengths], derive_rng(seed, "caches", t),
+        config.channel, [int(l) for l in lengths], derive_rng(seed, "caches", stream_round),
         round_index=t, uid_start=config.pretrain_size + config.validation_size
-        + (t - 1) * config.n_sbs * config.cache_len_hi,
+        + (stream_round - 1) * config.n_sbs * config.cache_len_hi,
     )
     caches = _exclude_authentic(
-        caches, config.exclude_fraction, derive_rng(seed, "exclude", t)
+        caches, config.exclude_fraction, derive_rng(seed, "exclude", stream_round)
     )
     if plan is not None and plan.ratio > 0.0:
-        caches = attacks.poison_caches(caches, plan, derive_rng(seed, "poison", t))
+        caches = attacks.poison_caches(caches, plan, derive_rng(seed, "poison", stream_round))
         if plan.mode == "collusion" and plan.collusion_payload is None:
             # all colluded samples of a round share one label array, if any
             plan = replace(plan, collusion_payload=next((
@@ -254,7 +257,7 @@ def _build_round_caches(config: ExperimentConfig, t: int,
     caches = [
         channel.topup_with_pretrain(
             cache, pretrain_set, config.i_min,
-            derive_rng(seed, "topup", t, cache.sbs_id),
+            derive_rng(seed, "topup", stream_round, cache.sbs_id),
         )
         for cache in caches
     ]
@@ -269,11 +272,7 @@ def run_round(
     if t > config.rounds:
         raise ValueError(f"round {t} exceeds configured horizon {config.rounds}")
     seed = config.master_seed
-    plan = state.attack_plan
-    if config.persist_caches and state.caches is not None:
-        caches = state.caches
-    else:
-        caches, plan = _build_round_caches(config, t, plan, state.pretrain_set)
+    caches, plan = _build_round_caches(config, t, state.attack_plan, state.pretrain_set)
     _check_validation_separation(caches, state.validation_set)
     if config.llpf.enabled:
         filtered = llpf.filter_caches(
@@ -296,9 +295,7 @@ def run_round(
                   f"produced a non-finite value at coordinate {i} in round {t}")
     record = evaluate(config, new_params, [s for c in filtered for s in c.samples],
                       state.validation_set, round_index=t)
-    new_state = replace(state, round_index=t, global_params=new_params, attack_plan=plan,
-                        caches=caches if config.persist_caches else None)
-    return new_state, record
+    return replace(state, round_index=t, global_params=new_params, attack_plan=plan), record
 
 
 def _check_finite(params: np.ndarray, what) -> None:

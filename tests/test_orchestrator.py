@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -413,20 +416,64 @@ def test_overflowing_metric_ends_the_run():
             run_experiment(cfg)
 
 
-def test_persist_caches_reuses_round_one_data():
-    cfg = desk_config(persist_caches=True, rounds=2)
-    state, _ = run_round(start_state(cfg), cfg)
-    first = state.caches
-    state, _ = run_round(state, cfg)
-    assert state.caches is first
+@pytest.mark.parametrize("plan", [
+    AttackPlan(mode="reverse", deployment="widespread", ratio=0.25),
+    # no payload set: round 1 freezes one, and round 2 takes it from the plan
+    AttackPlan(mode="collusion", deployment="widespread", ratio=0.25),
+], ids=["reverse", "collusion"])
+def test_persisted_rounds_rebuild_round_one_caches(monkeypatch, plan):
+    cfg = desk_config(persist_caches=True, rounds=2, attack=plan)
+    trained = spy_local_train(monkeypatch)
+    run_experiment(cfg)
+    first, second = ([c for t, c in trained if t == r] for r in (1, 2))
+    assert len(first) == len(second) == cfg.n_sbs
+    assert any(s.provenance == plan.mode for c in first for s in c.samples)
+    for a, b in zip(first, second):
+        assert (a.round_index, b.round_index) == (1, 2)
+        assert [s.uid for s in a.samples] == [s.uid for s in b.samples]
+        assert [s.provenance for s in a.samples] == [s.provenance for s in b.samples]
+        assert a.aggregation_len == b.aggregation_len
+        for name in ("input", "label"):
+            assert (np.stack([getattr(s, name) for s in a.samples]).tobytes()
+                    == np.stack([getattr(s, name) for s in b.samples]).tobytes())
 
 
-def test_state_keeps_no_caches_without_persist():
+def test_state_holds_no_caches():
+    assert "caches" not in {f.name for f in dataclasses.fields(FederationState)}
     cfg = desk_config(rounds=2)
     state, _ = run_round(start_state(cfg), cfg)
-    assert state.caches is None
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.round_index = 5
+
+
+@pytest.mark.parametrize("persist", [False, True])
+def test_round_samples_are_freed_when_the_round_returns(monkeypatch, persist):
+    cfg = desk_config(persist_caches=persist)
+    state = start_state(cfg)
+    made = []
+    real = channel.make_samples
+
+    def spy(*args, **kwargs):
+        samples = real(*args, **kwargs)
+        made.extend(weakref.ref(s) for s in samples
+                    if s.uid >= cfg.pretrain_size + cfg.validation_size)
+        return samples
+
+    monkeypatch.setattr(channel, "make_samples", spy)
+    state, _ = run_round(state, cfg)
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
+
+
+def test_persisted_llpf_warning_names_the_training_round(monkeypatch, caplog):
+    cfg = desk_config(persist_caches=True, rounds=2, llpf=LlpfConfig(enabled=True))
+    monkeypatch.setattr(llpf, "classify_losses",
+                        lambda losses, _cfg: np.ones(len(losses), dtype=bool))
+    with caplog.at_level(logging.WARNING, logger="fedcsi.llpf"):
+        run_experiment(cfg)
+    warned = [r.getMessage() for r in caplog.records if "no trusted samples" in r.message]
+    assert warned == [f"llpf: no trusted samples in cache sbs={k} round={t}; leaving it "
+                      "unchanged" for t in (1, 2) for k in range(cfg.n_sbs)]
 
 
 def test_persisted_rounds_draw_fresh_local_shuffles(monkeypatch):
@@ -443,6 +490,7 @@ def test_persisted_rounds_draw_fresh_local_shuffles(monkeypatch):
     run_experiment(cfg)
     shuffles = sorted(tags for tags in draws if tags[0] == "local-train")
     assert shuffles == [("local-train", t, k) for t in (1, 2) for k in range(cfg.n_sbs)]
+    assert [tags for tags in draws if tags[0] == "caches"] == [("caches", 1)] * 2
 
 
 def test_round_caches_take_uids_clear_of_other_rounds_and_server_sets():
