@@ -17,6 +17,7 @@ from . import nn
 from ._fields import check_fields
 
 FEDBE_VARIANCE_FLOOR = 1e-12
+STOMEDIAN_EPS = 1e-8  # StoMedian's log offset and sigma floor
 AGGREGATOR_KINDS = ("fedavg", "trimmed_mean", "fedmedian", "fedbe", "stomedian")
 
 
@@ -35,8 +36,6 @@ class Aggregator:
     trim_a: int = 1                  # trimmed_mean: values dropped per side
     fedbe_samples: int = 10          # fedbe: Gaussian draws S
     fedbe_distill_epochs: int = 20
-    fedbe_distill_lr: Optional[float] = None  # None: the experiment's rate
-    eps: float = 1e-8                # stomedian: log offset / sigma floor
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -49,11 +48,6 @@ class Aggregator:
                 raise ValueError("fedbe_samples must be >= 1")
             if self.fedbe_distill_epochs < 0:
                 raise ValueError("fedbe_distill_epochs must be >= 0")
-            if self.fedbe_distill_lr is not None and self.fedbe_distill_lr <= 0:
-                raise ValueError("fedbe_distill_lr must be finite and > 0")
-        if self.kind == "stomedian":
-            if self.eps <= 0:
-                raise ValueError("stomedian eps must be finite and > 0")
 
     def describe(self) -> str:
         if self.kind == "trimmed_mean":
@@ -114,21 +108,19 @@ def fed_median(updates: Sequence[WeightUpdate]) -> np.ndarray:
     return np.median(mat, axis=0)
 
 
-def sto_median(updates: Sequence[WeightUpdate], eps: float = 1e-8) -> np.ndarray:
+def sto_median(updates: Sequence[WeightUpdate]) -> np.ndarray:
     """Median-centred stochastic filter on log-transformed weights.
 
-    Per coordinate: transform w -> -log(w+eps) for w>0 else log|w-eps|, take
-    the median and population standard deviation of the transformed column,
-    weight each model by the Gaussian density of its transformed value (scaled
-    by dataset length, normalized per coordinate), and combine the original
-    weights.
+    Per coordinate: transform w -> -log(w+eps) for w>0 else log|w-eps|, with
+    eps = STOMEDIAN_EPS, take the median and population standard deviation
+    (floored at eps) of the transformed column, weight each model by the
+    Gaussian density of its transformed value (scaled by dataset length,
+    normalized per coordinate), and combine the original weights.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     mat, lens = _stack(updates)
     if not np.all(np.isfinite(mat)):
         raise ValueError("non-finite weight in updates")
-    probs = _sto_probabilities(mat, lens, eps)
+    probs = _sto_probabilities(mat, lens)
     combined = (probs * mat).sum(axis=0)
     # where every model agrees exactly, any convex combination equals that
     # value; bypass the filter arithmetic so the identity is bit-exact
@@ -136,23 +128,23 @@ def sto_median(updates: Sequence[WeightUpdate], eps: float = 1e-8) -> np.ndarray
     return np.where(same, mat[0], combined)
 
 
-def _sto_probabilities(mat: np.ndarray, lens: np.ndarray, eps: float) -> np.ndarray:
+def _sto_probabilities(mat: np.ndarray, lens: np.ndarray) -> np.ndarray:
     transformed = np.empty_like(mat)
     pos = mat > 0.0
-    transformed[pos] = -np.log(mat[pos] + eps)
-    transformed[~pos] = np.log(np.abs(mat[~pos] - eps))
+    transformed[pos] = -np.log(mat[pos] + STOMEDIAN_EPS)
+    transformed[~pos] = np.log(np.abs(mat[~pos] - STOMEDIAN_EPS))
     mu = np.median(transformed, axis=0)
-    sigma = np.maximum(transformed.std(axis=0), eps)
+    sigma = np.maximum(transformed.std(axis=0), STOMEDIAN_EPS)
     dev = (transformed - mu) / sigma
     density = np.exp(-0.5 * dev * dev) / (sigma * np.sqrt(2.0 * np.pi))
     weighted = density * lens[:, None]
     return weighted / weighted.sum(axis=0)
 
 
-def sto_median_probabilities(updates: Sequence[WeightUpdate], eps: float = 1e-8) -> np.ndarray:
+def sto_median_probabilities(updates: Sequence[WeightUpdate]) -> np.ndarray:
     """Normalized per-coordinate filter probabilities (diagnostic view)."""
     mat, lens = _stack(updates)
-    return _sto_probabilities(mat, lens, eps)
+    return _sto_probabilities(mat, lens)
 
 
 def fed_be_fit(updates: Sequence[WeightUpdate]) -> tuple[np.ndarray, np.ndarray]:
@@ -217,13 +209,11 @@ def aggregate(
     if aggregator.kind == "fedmedian":
         return fed_median(updates)
     if aggregator.kind == "stomedian":
-        return sto_median(updates, aggregator.eps)
+        return sto_median(updates)
     if any(arg is None for arg in (rng, distill_set, spec, beta1, learning_rate, batch_size)):
         raise ValueError("fedbe needs rng, distill_set, spec, beta1, learning_rate and batch_size")
-    distill_lr = aggregator.fedbe_distill_lr
     return fed_be(
         updates, aggregator.fedbe_samples, rng, distill_set, spec,
         distill_epochs=aggregator.fedbe_distill_epochs,
-        learning_rate=learning_rate if distill_lr is None else distill_lr,
-        batch_size=batch_size, beta1=beta1,
+        learning_rate=learning_rate, batch_size=batch_size, beta1=beta1,
     )

@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import pickle
 import sys
@@ -29,10 +30,7 @@ from .channel import ChannelConfig
 from .llpf import LlpfConfig
 from .orchestrator import ExperimentConfig, MetricsRecord, run_experiment
 
-CSV_FIELDS = (
-    "round", "mse_gamma", "mse_delta", "mse_beta",
-    "aggregator", "attack_mode", "deployment", "r_a", "seed",
-)
+CSV_FIELDS = tuple(f.name for f in dataclasses.fields(MetricsRecord))
 
 
 class ConfigError(ValueError):
@@ -142,17 +140,16 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else repr(float(value))
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def metrics_to_csv(records: list[MetricsRecord]) -> str:
     lines = [",".join(CSV_FIELDS)]
     for r in records:
-        lines.append(",".join([
-            str(r.round), _fmt(r.mse_gamma), _fmt(r.mse_delta), _fmt(r.mse_beta),
-            r.aggregator, r.attack_mode, r.deployment, repr(float(r.r_a)), str(r.seed),
-        ]))
+        lines.append(",".join(_fmt(getattr(r, name)) for name in CSV_FIELDS))
     return "\n".join(lines) + "\n"
 
 
@@ -220,26 +217,20 @@ def _write_all(out: Path, files: list[tuple[str, str]]) -> None:
 # --------------------------- plotting --------------------------------------
 
 def _series_for_metric(rows: list[dict], metric: str):
-    keys = sorted({
-        (r["aggregator"], r["attack_mode"], r["deployment"], r["r_a"], r["seed"])
-        for r in rows
-    })
-    varying = [len({k[i] for k in keys}) > 1 for i in range(5)]
+    """One (label, points) series per run; a label names the run's varying
+    axes, or its aggregator when none varies."""
+    run_of = operator.itemgetter("aggregator", "attack_mode", "deployment", "r_a", "seed")
+    runs = sorted({run_of(r) for r in rows})
+    varying = [len({run[i] for run in runs}) > 1 for i in range(5)]
     series = []
-    for key in keys:
-        pts = sorted(
-            (r["round"], r[metric]) for r in rows
-            if (r["aggregator"], r["attack_mode"], r["deployment"], r["r_a"], r["seed"]) == key
-            and r[metric] is not None
-        )
+    for run in runs:
+        pts = sorted((r["round"], r[metric]) for r in rows
+                     if run_of(r) == run and r[metric] is not None)
         if not pts:
             continue
-        parts = [key[0]] if not any(varying) else [
-            part for i, part in enumerate([
-                key[0], key[1], key[2], f"ra={key[3]}", f"seed={key[4]}",
-            ]) if varying[i]
-        ]
-        series.append((" ".join(parts) if parts else key[0], pts))
+        labels = [run[0], run[1], run[2], f"ra={run[3]}", f"seed={run[4]}"]
+        parts = [label for label, vary in zip(labels, varying) if vary] or [run[0]]
+        series.append((" ".join(parts), pts))
     return series
 
 

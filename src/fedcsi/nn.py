@@ -11,6 +11,7 @@ network's parameters are one flat float64 vector, read per layer through
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -618,9 +619,9 @@ def train_minibatch(
     for the next mini-batch of every dataset still training, and each
     dataset's steps are the same as if it trained alone.  The last partial
     batch of each epoch is kept.  With `max_steps` a dataset stops after
-    that many optimizer steps regardless of epoch boundaries (used for the
-    fixed-step SGD mode).  Adam's moments start at zero, with decay rates
-    `beta1` and ADAM_BETA2.
+    that many optimizer steps, whatever the epoch (the fixed-step SGD mode);
+    one that takes no step draws nothing from its rng.  Adam's moments
+    start at zero, with decay rates `beta1` and ADAM_BETA2.
     """
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
@@ -634,18 +635,12 @@ def train_minibatch(
     trained = [params.copy() for _ in datasets]
     zeros = np.zeros(params.size)
     m, v = [zeros] * len(datasets), [zeros] * len(datasets)  # Adam's moments, rebound
-    # every dataset still training has taken as many steps as the others
-    steps = 0
-    training = list(range(len(datasets)))
-    while True:
-        stepping = [(i, idx) for i in training if (idx := next(batches[i], None)) is not None]
-        if not stepping:
-            return trained
-        training = [i for i, _ in stepping]
-        steps += 1
+    # a finished dataset sits out as None; all others have taken `steps` steps
+    for steps, step in enumerate(itertools.zip_longest(*batches), start=1):
+        stepping = [(i, idx) for i, idx in enumerate(step) if idx is not None]
         grads = batch_gradients(spec, [(trained[i], datasets[i][0][idx], datasets[i][1][idx])
                                        for i, idx in stepping])
-        for i, (grad, _) in zip(training, grads):
+        for (i, _), (grad, _) in zip(stepping, grads):
             if optimizer == "sgd":
                 trained[i] = trained[i] - learning_rate * grad
                 continue
@@ -654,20 +649,15 @@ def train_minibatch(
             m_hat = m[i] / (1.0 - beta1 ** steps)
             v_hat = v[i] / (1.0 - ADAM_BETA2 ** steps)
             trained[i] = trained[i] - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return trained
 
 
 def _batches(n: int, batch_size: int, epochs: int, max_steps: Optional[int],
              rng: np.random.Generator):
-    """The index arrays of one dataset's mini-batches: each epoch shuffles
-    its n samples with one permutation from rng, drawn only for an epoch
-    that is begun."""
-    steps = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for s in range(0, n, batch_size):
-            if max_steps is not None and steps >= max_steps:
-                return
-            steps += 1
-            yield order[s:s + batch_size]
-        if max_steps is not None and steps >= max_steps:
-            return
+    """A lazy stream of the index arrays of one dataset's mini-batches, the
+    first `max_steps` of them if given: each epoch shuffles its n samples
+    with one permutation from rng, drawn only when the epoch's first batch
+    is taken, so a dataset that takes no step draws nothing."""
+    orders = (rng.permutation(n) for _ in range(epochs))
+    return itertools.islice((order[s:s + batch_size] for order in orders
+                             for s in range(0, n, batch_size)), max_steps)

@@ -200,7 +200,7 @@ def local_train(
     sgd = config.local_mode == "steps_sgd"
     trained = nn.train_minibatch(
         config.network, global_params, datasets,
-        epochs=max(config.sgd_steps, 1) if sgd else config.epochs,
+        epochs=config.sgd_steps if sgd else config.epochs,
         batch_size=config.batch_size, learning_rate=config.learning_rate,
         beta1=config.momentum, optimizer="sgd" if sgd else "adam",
         max_steps=config.sgd_steps if sgd else None,
@@ -231,10 +231,10 @@ def _exclude_authentic(
 def _build_round_caches(config: ExperimentConfig, t: int,
                         plan: Optional[attacks.AttackPlan], pretrain_set: list):
     """The poisoned, topped-up caches that train in round t, and the attack
-    plan after them.  Every stream and the uid block are round 1's under
-    persist_caches (a frozen collusion payload is in the plan), else round
-    t's: a round makes at most n_sbs * cache_len_hi samples, so its uids
-    take their own block after the server sets'."""
+    plan after them.  Every stream is round 1's under persist_caches (a
+    frozen collusion payload is in the plan), else round t's.  No round's
+    samples outlive it, so every round's new samples take the uids after
+    the server sets'."""
     seed = config.master_seed
     stream_round = 1 if config.persist_caches else t
     lengths = derive_rng(seed, "lengths", stream_round).integers(
@@ -242,8 +242,7 @@ def _build_round_caches(config: ExperimentConfig, t: int,
     )
     caches = channel.generate_round_caches(
         config.channel, [int(l) for l in lengths], derive_rng(seed, "caches", stream_round),
-        round_index=t, uid_start=config.pretrain_size + config.validation_size
-        + (stream_round - 1) * config.n_sbs * config.cache_len_hi,
+        round_index=t, uid_start=config.pretrain_size + config.validation_size,
     )
     caches = _exclude_authentic(
         caches, config.exclude_fraction, derive_rng(seed, "exclude", stream_round)

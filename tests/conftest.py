@@ -1,4 +1,6 @@
 """Shared desk-scale experiment configs and a memoized experiment runner."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -82,8 +84,10 @@ _RUN_CACHE: dict = {}
 
 
 def run_cached(config: ExperimentConfig):
-    """Memoize experiment runs within one pytest session (runs are pure)."""
-    key = repr(config)
+    """Memoize experiment runs within one pytest session (runs are pure).
+    Keyed by pickle, as a repr elides a large array such as a collusion
+    payload."""
+    key = pickle.dumps(config)
     if key not in _RUN_CACHE:
         _RUN_CACHE[key] = run_experiment(config)
     return _RUN_CACHE[key]

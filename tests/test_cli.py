@@ -14,6 +14,7 @@ import pytest
 from fedcsi import cli, engine
 from fedcsi.attacks import AttackPlan
 from fedcsi.cli import ConfigError, parse_config
+from fedcsi.orchestrator import MetricsRecord
 
 TINY = {
     "n_sbs": 3,
@@ -83,9 +84,10 @@ def test_unknown_key_is_named(tmp_path):
     path.write_text(json.dumps({"mu_count": 1000}))  # a key of earlier versions
     with pytest.raises(ConfigError, match="mu_count"):
         parse_config(path)
-    path.write_text(json.dumps({"aggregator": {"kind": "stomedian", "stomedian_std": "sample"}}))
-    with pytest.raises(ConfigError, match="unknown key 'stomedian_std'"):
-        parse_config(path)
+    for key in ("stomedian_std", "eps", "fedbe_distill_lr"):
+        path.write_text(json.dumps({"aggregator": {"kind": "stomedian", key: 1.0}}))
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(path)
     path.write_text(json.dumps({"llpf": {"mu_mode": "median"}}))
     with pytest.raises(ConfigError, match="unknown key 'mu_mode'"):
         parse_config(path)
@@ -154,7 +156,6 @@ def test_invariant_violations_are_named(tmp_path):
     ({"channel": {**TINY["channel"], "gain_scale": float("nan")}}, "gain_scale"),
     ({"channel": {**TINY["channel"], "doppler_spread": float("inf")}}, "doppler_spread"),
     ({"llpf": {"k_sigma": float("nan")}}, "k_sigma"),
-    ({"aggregator": {"kind": "stomedian", "eps": float("nan")}}, "eps"),
     ({"attack": {"mode": "outdate", "outdate_lag": float("-inf")}}, "outdate_lag"),
     ({"learning_rate": 10 ** 400}, "learning_rate"),  # float() overflows
     # sections once passed to the dataclasses untyped
@@ -183,7 +184,7 @@ def test_lossy_field_types_rejected(tmp_path, extra, name):
 def test_exact_field_types_accepted(tmp_path):
     path = write_tiny_config(tmp_path, epochs=2.0, persist_caches=True, learning_rate=1,
                              channel={**TINY["channel"], "doppler_spread": 0},
-                             aggregator={"fedbe_samples": 3.0, "fedbe_distill_lr": 1},
+                             aggregator={"fedbe_samples": 3.0},
                              attack=None, pretrain_epochs=None)
     cfg = parse_config(path)
     assert cfg.epochs == 2 and type(cfg.epochs) is int
@@ -191,8 +192,6 @@ def test_exact_field_types_accepted(tmp_path):
     assert cfg.learning_rate == 1.0 and type(cfg.learning_rate) is float
     assert type(cfg.channel.doppler_spread) is float
     assert cfg.aggregator.fedbe_samples == 3 and type(cfg.aggregator.fedbe_samples) is int
-    assert cfg.aggregator.fedbe_distill_lr == 1.0
-    assert type(cfg.aggregator.fedbe_distill_lr) is float
     assert cfg.attack is None and cfg.pretrain_epochs is None
 
 
@@ -241,6 +240,29 @@ def test_roundtrip_of_nested_sections(tmp_path):
 
 
 # --------------------------- run command ------------------------------------
+
+def test_metrics_csv_columns_are_the_record_fields():
+    record = MetricsRecord(round=2, mse_gamma=np.float64(0.25), mse_delta=0.1, mse_beta=None,
+                           aggregator="fedavg", attack_mode="none", deployment="none",
+                           r_a=0.0, seed=7)
+    assert cli.CSV_FIELDS == tuple(f.name for f in dataclasses.fields(MetricsRecord))
+    assert cli.metrics_to_csv([record]).splitlines() == [
+        "round,mse_gamma,mse_delta,mse_beta,aggregator,attack_mode,deployment,r_a,seed",
+        "2,0.25,0.1,,fedavg,none,none,0.0,7",
+    ]
+
+
+@pytest.mark.parametrize("value, text", [
+    pytest.param(None, "", id="none"),
+    pytest.param(0.1, "0.1", id="float"),
+    pytest.param(0.0, "0.0", id="whole-float"),
+    pytest.param(np.float64(0.1), "0.1", id="numpy-float"),  # not 'np.float64(0.1)'
+    pytest.param(3, "3", id="int"),
+    pytest.param("trimmed_mean(a=1)", "trimmed_mean(a=1)", id="str"),
+])
+def test_a_metrics_csv_cell_is_formatted_by_its_value(value, text):
+    assert cli._fmt(value) == text
+
 
 def test_run_writes_expected_csv(tmp_path):
     path = write_tiny_config(tmp_path)

@@ -94,10 +94,6 @@ REJECTED = [
     *_rows(partial(Aggregator, kind="fedbe"), "fedbe_samples must be >= 1", dict(fedbe_samples=0)),
     *_rows(partial(Aggregator, kind="fedbe"), "fedbe_distill_epochs must be >= 0",
            dict(fedbe_distill_epochs=-1)),
-    *_floats(partial(Aggregator, kind="fedbe"), "fedbe_distill_lr",
-             "fedbe_distill_lr must be finite and > 0", 0.0, -1.0),
-    *_floats(partial(Aggregator, kind="stomedian"), "eps",
-             "stomedian eps must be finite and > 0", 0.0),
 
     *[row for name in ("n_sbs", "cache_len_lo", "cache_len_hi", "pretrain_size",
                        "validation_size", "batch_size")
@@ -156,6 +152,39 @@ def test_a_bad_value_is_rejected_at_replace(build, overrides, message):
     with pytest.raises(ValueError) as info:
         dataclasses.replace(valid, **overrides)
     assert str(info.value) == message
+
+
+def test_aggregator_fields():
+    # FedBE distils at the experiment's learning rate and StoMedian's
+    # epsilon is aggregation.STOMEDIAN_EPS; neither is a field
+    assert [f.name for f in dataclasses.fields(Aggregator)] == [
+        "kind", "trim_a", "fedbe_samples", "fedbe_distill_epochs"]
+
+
+REMOVED = [pytest.param(kind, name, id=name)
+           for kind, name in (("stomedian", "eps"), ("fedbe", "fedbe_distill_lr"))]
+
+
+@pytest.mark.parametrize("kind, name", REMOVED)
+def test_a_removed_aggregator_field_is_rejected_at_construction(kind, name):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        Aggregator(kind=kind, **{name: 0.5})
+
+
+@pytest.mark.parametrize("kind, name", REMOVED)
+def test_a_removed_aggregator_field_is_rejected_at_replace(kind, name):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        dataclasses.replace(Aggregator(kind=kind), **{name: 0.5})
+
+
+@pytest.mark.parametrize("kind, name", REMOVED)
+def test_a_removed_aggregator_key_is_one_cli_error_line(kind, name, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"aggregator": {"kind": kind, name: 0.5}}))
+    assert cli.run(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"fedcsi: error: {path}: unknown key '{name}' in aggregator config\n")
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------- the type rule ---------------------------------
@@ -247,8 +276,6 @@ CLI_REJECTED = [
     ({"attack": {"mode": "reverse", "ratio": 2}}, "attack ratio 2.0 outside [0, 1]"),
     ({"attack": {"mode": "reverse", "deployment": "targeted", "target_sbs": 10}},
      "target_sbs 10 out of range for N=10"),
-    ({"aggregator": {"kind": "fedbe", "fedbe_distill_lr": 0}},
-     "fedbe_distill_lr must be finite and > 0"),
     ({"n_sbs": 4, "aggregator": {"kind": "trimmed_mean", "trim_a": 2}},
      "trim_a=2 needs more than 4 updates"),
     ({"network": {"layers": [[3, 3, 4, "relu"], [3, 3, 2, "selu"]]}},

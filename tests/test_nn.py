@@ -511,16 +511,47 @@ def test_train_minibatch_learns_and_is_deterministic():
     assert np.array_equal(trained, trained2)
 
 
-def test_train_minibatch_zero_epochs_returns_copy():
+@pytest.mark.parametrize("stop", [dict(epochs=0), dict(epochs=5, max_steps=0)],
+                         ids=["epochs=0", "max_steps=0"])
+def test_train_minibatch_without_a_step_returns_copy_and_draws_nothing(stop):
     spec = tiny_spec()
     p = nn.init_params(spec, 40)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     out, = nn.train_minibatch(
-        spec, p, [(np.zeros((2,) + spec.input_shape), np.zeros((2, 6, 5, 2)),
-                   np.random.default_rng(0))],
-        epochs=0, batch_size=2, learning_rate=0.1,
+        spec, p, [(np.zeros((2,) + spec.input_shape), np.zeros((2, 6, 5, 2)), rng)],
+        batch_size=2, learning_rate=0.1, optimizer="sgd", **stop,
     )
     assert np.array_equal(out, p)
     assert out is not p
+    # a permutation is drawn only for an epoch that takes a step
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n, batch_size, epochs, max_steps, steps, permutations", [
+    pytest.param(5, 2, 3, None, 9, 3, id="every-epoch"),
+    pytest.param(5, 2, 3, 4, 4, 2, id="capped-mid-epoch"),
+    pytest.param(6, 2, 3, 3, 3, 1, id="capped-at-an-epoch-end"),
+    pytest.param(5, 2, 3, 20, 9, 3, id="cap-beyond-the-epochs"),
+    pytest.param(5, 2, 3, 0, 0, 0, id="max_steps=0"),
+    pytest.param(5, 2, 0, 4, 0, 0, id="epochs=0"),
+    pytest.param(4, 8, 2, None, 2, 2, id="batch-larger-than-the-data"),
+    pytest.param(3, 1, 2, 5, 5, 2, id="batch-of-one"),
+])
+def test_batches_draw_one_permutation_per_begun_epoch(n, batch_size, epochs, max_steps,
+                                                      steps, permutations):
+    rng = np.random.default_rng(7)
+    stream = nn._batches(n, batch_size, epochs, max_steps, rng)
+    replay = np.random.default_rng(7)
+    # lazy: nothing is drawn before a batch is taken
+    assert rng.bit_generator.state == replay.bit_generator.state
+    got = list(stream)
+    orders = [replay.permutation(n) for _ in range(permutations)]
+    want = [order[s:s + batch_size] for order in orders for s in range(0, n, batch_size)]
+    assert len(got) == steps
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # the stream stops without drawing the permutation of an epoch it does not begin
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_train_minibatch_max_steps_sgd():

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import conftest
 from conftest import desk_config, forward_one, mse, run_cached, small_network
 
 from fedcsi import aggregation, channel, engine, llpf, nn, orchestrator
@@ -70,10 +71,6 @@ _GRID = dict(grid_height=12, grid_width=8)
                  id="channel.gain_scale-inf"),
     pytest.param(lambda: channel.ChannelConfig(**_GRID, pilot_noise_stddev=_NAN),
                  id="channel.pilot_noise_stddev-nan"),
-    pytest.param(lambda: aggregation.Aggregator(kind="stomedian", eps=_NAN),
-                 id="aggregator.eps-nan"),
-    pytest.param(lambda: aggregation.Aggregator(kind="fedbe", fedbe_distill_lr=_NAN),
-                 id="aggregator.fedbe_distill_lr-nan"),
     pytest.param(lambda: AttackPlan(mode="outdate", outdate_lag=_NAN),
                  id="attack.outdate_lag-nan"),
 ])
@@ -281,6 +278,20 @@ def test_run_experiment_deterministic():
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     assert a == b
+
+
+def test_run_cached_tells_apart_configs_that_differ_inside_a_large_array(monkeypatch):
+    # numpy's repr elides the middle of an array of over 1000 values, so
+    # these two default-grid configs have one repr
+    payload = np.zeros((72, 14, 2))
+    changed = payload.copy()
+    changed[36, 7, 1] = 1.0
+    configs = [ExperimentConfig(attack=AttackPlan(mode="collusion", collusion_payload=p))
+               for p in (payload, changed)]
+    assert repr(configs[0]) == repr(configs[1])
+    monkeypatch.setattr(conftest, "_RUN_CACHE", {})
+    monkeypatch.setattr(conftest, "run_experiment", lambda config: [config])
+    assert [run_cached(config)[0] is config for config in configs] == [True, True]
 
 
 def test_rounds_numbered_and_provenance_recorded():
@@ -493,17 +504,34 @@ def test_persisted_rounds_draw_fresh_local_shuffles(monkeypatch):
     assert [tags for tags in draws if tags[0] == "caches"] == [("caches", 1)] * 2
 
 
-def test_round_caches_take_uids_clear_of_other_rounds_and_server_sets():
+def test_round_caches_take_uids_clear_of_server_sets():
     cfg = desk_config(rounds=3)
     _, pre, val = pretrain(cfg)
     server = {s.uid for s in pre} | {s.uid for s in val}
-    seen = set()
     for t in (1, 2, 3):
         caches, _ = orchestrator._build_round_caches(cfg, t, None, pre)
         # top-up pads the caches with pre-training samples; the rest are new
         own = {s.uid for c in caches for s in c.samples[:c.aggregation_len]}
-        assert own and own.isdisjoint(server) and own.isdisjoint(seen)
-        seen |= own
+        assert own and own.isdisjoint(server)
+
+
+@pytest.fixture(scope="module")
+def desk_pretrain_set():
+    return pretrain(desk_config(rounds=3))[1]
+
+
+@pytest.mark.parametrize("persist", [False, True], ids=["fresh", "persisted"])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_every_round_takes_the_uid_block_after_the_server_sets(t, persist, desk_pretrain_set):
+    cfg = desk_config(rounds=3, persist_caches=persist)
+    start = cfg.pretrain_size + cfg.validation_size
+    caches, _ = orchestrator._build_round_caches(cfg, t, None, desk_pretrain_set)
+    own = [s.uid for c in caches for s in c.samples[:c.aggregation_len]]
+    assert own and len(set(own)) == len(own)
+    assert start <= min(own) and max(own) < start + cfg.n_sbs * cfg.cache_len_hi
+    if persist:  # a persisted round replays round 1's samples, uids and all
+        first, _ = orchestrator._build_round_caches(cfg, 1, None, desk_pretrain_set)
+        assert own == [s.uid for c in first for s in c.samples[:c.aggregation_len]]
 
 
 def test_fedbe_round_runs():
